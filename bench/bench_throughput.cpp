@@ -1170,7 +1170,8 @@ int main(int argc, char** argv) {
   std::vector<unsigned> thread_counts{1, 2, 4};
   if (hw > 4) thread_counts.push_back(hw);
   // 0 = auto sharding (shards chosen for distinct home shards per hardware
-  // thread AND L1-resident padded shard arenas; see RenamingServiceOptions).
+  // thread AND at most kMaxShardCells cells per shard; see
+  // RenamingServiceOptions).
   const std::uint64_t service_shards = 0;
 
   using loren::ArenaLayout;
@@ -1211,26 +1212,24 @@ int main(int argc, char** argv) {
                 [&] { return make_service(1, ArenaLayout::kPadded); },
                 thread_counts, duration_ms, n, results);
 
-  // ---- cell-probe vs word-scan: the BitmapArena substrate ---------------
-  // The same sharded service on the two arena kinds, name cache off on
-  // both sides: churn workloads otherwise short-circuit into the stash
-  // and the ratio would measure thread-local pops, not the substrate.
-  // These rows feed the word_scan_* derived keys.
-  auto make_service_kind = [n, eps](loren::ArenaKind kind) {
+  // ---- the word-scan substrate, uncached -------------------------------
+  // The sharded service with the name cache off: churn workloads
+  // otherwise short-circuit into the stash and would measure
+  // thread-local pops, not the BitmapArena substrate.
+  auto make_service_uncached = [n, eps](std::uint64_t shards,
+                                        ArenaLayout layout) {
     loren::RenamingServiceOptions opts;
     opts.epsilon = eps;
-    opts.shards = 0;
-    opts.arena_kind = kind;
+    opts.shards = shards;
+    opts.arena_layout = layout;
     opts.name_cache = false;
     return std::make_unique<loren::RenamingService>(n, opts);
   };
-  bench_variant(
-      "service-cellprobe",
-      [&] { return make_service_kind(loren::ArenaKind::kCellProbe); },
-      thread_counts, duration_ms, n, results);
-  bench_variant("service-wordscan",
-                [&] { return make_service_kind(loren::ArenaKind::kBitmap); },
-                thread_counts, duration_ms, n, results);
+  auto make_service_wordscan = [&] {
+    return make_service_uncached(service_shards, ArenaLayout::kPadded);
+  };
+  bench_variant("service-wordscan", make_service_wordscan, thread_counts,
+                duration_ms, n, results);
   // full-churn-hot: the same churn loop against a namespace at a
   // *scattered* 15/16 occupancy — fill every cell, then release a random
   // 1/16 sample, so the free cells are spread over every shard and every
@@ -1238,13 +1237,11 @@ int main(int argc, char** argv) {
   // per-cell sweep cost dominates: a near-empty namespace serves the
   // first probe either way (plain full-churn measures fixed per-op
   // overhead, not the substrate), and a *run-claimed* prefill would
-  // leave one empty shard for the sticky hints to migrate into. This
-  // pair feeds the word_scan_speedup_at_4_threads derived key.
+  // leave one empty shard for the sticky hints to migrate into.
   {
     std::vector<std::int64_t> prefill;
-    auto run_hot = [&](const std::string& vname, loren::ArenaKind kind,
-                       unsigned threads) {
-      auto r = make_service_kind(kind);
+    auto run_hot = [&](unsigned threads) {
+      auto r = make_service_wordscan();
       const std::uint64_t cap = r->capacity();
       prefill.assign(cap, -1);
       const std::uint64_t held = r->acquire_many(cap, prefill.data());
@@ -1262,17 +1259,14 @@ int main(int argc, char** argv) {
       }
       r->release_many(prefill.data(), free_target);
       results.push_back(run_threads(
-          "full-churn-hot", vname, threads, duration_ms,
+          "full-churn-hot", "service-wordscan", threads, duration_ms,
           [&](unsigned, const std::atomic<bool>& stop, WorkerCount& c) {
             churn_loop(*r, stop, c);
           }));
       print_row(results.back());
     };
     for (unsigned threads : thread_counts) {
-      run_hot("service-cellprobe", loren::ArenaKind::kCellProbe, threads);
-    }
-    for (unsigned threads : thread_counts) {
-      run_hot("service-wordscan", loren::ArenaKind::kBitmap, threads);
+      run_hot(threads);
     }
   }
 
@@ -1296,28 +1290,13 @@ int main(int argc, char** argv) {
         return std::make_unique<loren::ElasticRenamingService>(start, eopts);
       },
       thread_counts, duration_ms, n, results);
-  // The substrate pair again under the batch engine: run-claims are where
+  // The uncached substrate under the batch engine: run-claims are where
   // the word-packed masks collapse k RMWs into one fetch_or per word.
-  bench_batch_scenarios(
-      "service-cellprobe",
-      [&] { return make_service_kind(loren::ArenaKind::kCellProbe); },
-      thread_counts, duration_ms, n, results);
-  bench_batch_scenarios(
-      "service-wordscan",
-      [&] { return make_service_kind(loren::ArenaKind::kBitmap); },
-      thread_counts, duration_ms, n, results);
+  bench_batch_scenarios("service-wordscan", make_service_wordscan,
+                        thread_counts, duration_ms, n, results);
 
   // ---- cached churn: the thread-local name cache on / off --------------
   std::vector<CacheStat> cache_stats;
-  auto make_service_uncached = [n, eps](std::uint64_t shards,
-                                        ArenaLayout layout) {
-    loren::RenamingServiceOptions opts;
-    opts.epsilon = eps;
-    opts.shards = shards;
-    opts.arena_layout = layout;
-    opts.name_cache = false;
-    return std::make_unique<loren::RenamingService>(n, opts);
-  };
   bench_cached_scenarios(
       "service-cached",
       [&] { return make_service(service_shards, ArenaLayout::kPadded); },
@@ -1664,25 +1643,6 @@ int main(int argc, char** argv) {
                 4) /
               singles);
     }
-  }
-  // Word-scan acquisition vs cell-probe on the identical (uncached)
-  // sharded service: the high-occupancy full-churn pair (acceptance:
-  // >= 1.3x at 4 threads — at 15/16 occupancy the cell substrate pays
-  // ~1/free-fraction probe RMWs per win while a word scan covers 64
-  // cells per probe), plus the k16 batch engine, where mask assembly
-  // collapses a run claim into one fetch_or per word.
-  const double cell_churn_hot = items("full-churn-hot", "service-cellprobe", 4);
-  if (cell_churn_hot > 0) {
-    derived.emplace_back(
-        "word_scan_speedup_at_4_threads",
-        items("full-churn-hot", "service-wordscan", 4) / cell_churn_hot);
-  }
-  const double cell_batch16 =
-      items("batch-churn", "service-cellprobe-many-k16", 4);
-  if (cell_batch16 > 0) {
-    derived.emplace_back(
-        "word_scan_batch_speedup_k16_at_4_threads",
-        items("batch-churn", "service-wordscan-many-k16", 4) / cell_batch16);
   }
   // Detailed-mode telemetry on the uncached hot path: off/on throughput
   // ratio, so >1 means the instrumentation costs something (acceptance:

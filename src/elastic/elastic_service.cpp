@@ -202,7 +202,7 @@ ElasticRenamingService::ElasticRenamingService(std::uint64_t initial_holders,
     const std::uint64_t shard_n = (initial + shards - 1) / shards;
     auto group = std::make_unique<ShardGroup>(
         /*tag=*/0, /*generation=*/1, initial, shards, options_.arena_layout,
-        options_.arena_kind, schedules_.get(shard_n));
+        schedules_.get(shard_n));
     ShardGroup* raw = group.get();
     live_local_capacity_.store(raw->local_capacity(),
                                std::memory_order_release);
@@ -959,7 +959,7 @@ bool ElasticRenamingService::resize_locked(std::uint64_t target) {
       generation_.load(std::memory_order_relaxed) + 1;
   auto group = std::make_unique<ShardGroup>(
       static_cast<std::uint32_t>(tag), gen, target, shards,
-      options_.arena_layout, options_.arena_kind, schedules_.get(shard_n));
+      options_.arena_layout, schedules_.get(shard_n));
   ShardGroup* raw = group.get();
 
   // Publication order matters: the tag table entry must be visible before

@@ -8,7 +8,7 @@
 // from the one-shot setting into a long-lived, resizable one (cf. the
 // long-lived/adaptive renaming chapters of Aspnes's notes):
 //
-//   * The live namespace is one ShardGroup (shard_group.h): a TasArena
+//   * The live namespace is one ShardGroup (shard_group.h): a BitmapArena
 //     carved into sticky-probed shards under a ReBatching schedule sized
 //     for the group's holder count.
 //   * GROW: when acquisitions keep missing the whole probe schedule
@@ -77,11 +77,9 @@ struct ElasticOptions {
   /// heuristic, so a small generation gets few shards and a large one
   /// many).
   std::uint64_t shards = 0;
+  /// Layout of every generation's BitmapArena word slots (kPadded: one
+  /// 64-cell word per cache line; kPacked: four words per line).
   ArenaLayout arena_layout = ArenaLayout::kPadded;
-  /// Substrate for every generation's arena: kCellProbe (TasArena, one
-  /// RMW per cell probed) or kBitmap (BitmapArena, 64 cells per probe
-  /// via word scans — see tas/bitmap_arena.h for the tradeoff).
-  ArenaKind arena_kind = ArenaKind::kCellProbe;
   std::uint64_t seed = 0xE1A5;
   BatchLayoutParams layout_extra{};
   /// Grow automatically under sustained probe-schedule misses (and always

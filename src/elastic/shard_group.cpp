@@ -9,7 +9,7 @@ namespace loren {
 
 ShardGroup::ShardGroup(std::uint32_t tag, std::uint64_t generation,
                        std::uint64_t holders, std::uint64_t shards,
-                       ArenaLayout arena_layout, ArenaKind arena_kind,
+                       ArenaLayout arena_layout,
                        std::shared_ptr<const CachedSchedule> schedule)
     : tag_(tag),
       generation_(generation),
@@ -17,24 +17,15 @@ ShardGroup::ShardGroup(std::uint32_t tag, std::uint64_t generation,
       shard_stride_(schedule->layout.total()),
       shard_mask_(shards - 1),
       shard_shift_(0),
-      schedule_(std::move(schedule)) {
+      schedule_(std::move(schedule)),
+      arena_(shard_stride_ * shards, arena_layout) {
   if (shards == 0 || (shards & (shards - 1)) != 0) {
     throw std::invalid_argument("ShardGroup: shards must be a power of two");
   }
   for (std::uint64_t s = shards; s > 1; s >>= 1) ++shard_shift_;
-  const std::uint64_t total = shard_stride_ * shards;
-  if (arena_kind == ArenaKind::kBitmap) {
-    bitmap_ = std::make_unique<BitmapArena>(total, arena_layout);
-  } else {
-    arena_ = std::make_unique<TasArena>(total, arena_layout);
-  }
   segments_.reserve(shards);
   for (std::uint64_t i = 0; i < shards; ++i) {
-    if (bitmap_ != nullptr) {
-      segments_.emplace_back(*bitmap_, i * shard_stride_, shard_stride_);
-    } else {
-      segments_.emplace_back(*arena_, i * shard_stride_, shard_stride_);
-    }
+    segments_.emplace_back(arena_, i * shard_stride_, shard_stride_);
   }
 }
 
@@ -44,39 +35,20 @@ std::int64_t ShardGroup::probe_segment(std::uint64_t si, Xoshiro256& rng,
   const FlatProbeSchedule::Slot* const first = schedule_->schedule.begin();
   std::uint32_t* const lost =
       stats != nullptr ? &stats->lost_races : nullptr;
-  if (seg.kind() == ArenaKind::kBitmap) {
-    // Word-granular probe schedule: each slot's random draw nominates a
-    // word, and the 64-way scan claims any free cell in it (clamped to
-    // this shard's window). A probe fails only when its whole word is
-    // full, so a word-scan schedule walk covers up to 64x the cells of a
-    // cell-probe walk at the same probe budget.
-    for (const auto* slot = first; slot != schedule_->schedule.end(); ++slot) {
-      const std::uint64_t x = slot->offset + rng.below(slot->size);
-      const std::int64_t cell = seg.try_claim_word(x, lost);
-      if (cell >= 0) {
-        *late = (slot - first) >= kMigrateThreshold;
-        if (stats != nullptr) {
-          stats->probes += static_cast<std::uint32_t>(slot - first) + 1;
-        }
-        return static_cast<std::int64_t>(
-            (static_cast<std::uint64_t>(cell) << shard_shift_) | si);
-      }
-    }
-    if (stats != nullptr) {
-      stats->probes +=
-          static_cast<std::uint32_t>(schedule_->schedule.end() - first);
-    }
-    return -1;
-  }
+  // Word-granular probe schedule: each slot's random draw nominates a
+  // word, and the 64-way scan claims any free cell in it (clamped to this
+  // shard's window). A probe fails only when its whole word is full, so a
+  // schedule walk covers up to 64x the cells at the same probe budget.
   for (const auto* slot = first; slot != schedule_->schedule.end(); ++slot) {
     const std::uint64_t x = slot->offset + rng.below(slot->size);
-    // sim:exempt(forwards to the arena RMW, which carries the sim point)
-    if (seg.test_and_set(x)) {
+    const std::int64_t cell = seg.try_claim_word(x, lost);
+    if (cell >= 0) {
       *late = (slot - first) >= kMigrateThreshold;
       if (stats != nullptr) {
         stats->probes += static_cast<std::uint32_t>(slot - first) + 1;
       }
-      return static_cast<std::int64_t>((x << shard_shift_) | si);
+      return static_cast<std::int64_t>(
+          (static_cast<std::uint64_t>(cell) << shard_shift_) | si);
     }
   }
   if (stats != nullptr) {
@@ -97,7 +69,7 @@ std::int64_t ShardGroup::try_acquire(Xoshiro256& rng, std::uint32_t* sticky,
       if (k != 0) {
         *sticky = static_cast<std::uint32_t>(si);
       } else if (late) {
-        *sticky = static_cast<std::uint32_t>((si + 1) & shard_mask_);
+        *sticky = late_win_shard(rng, shard_mask_);
       }
       return local;
     }
@@ -115,10 +87,9 @@ std::int64_t ShardGroup::sweep_acquire(std::uint32_t* sticky,
     const std::uint64_t si = (*sticky + k) & shard_mask_;
     LOREN_SIM_POINT("group.sweep");
     if (stats != nullptr) ++stats->sweep_shards;
-    // One-cell run-claim: word-at-a-time snapshots on a bitmap segment
-    // (64 cells per load), line-at-a-time load-before-RMW on a cell
-    // arena — either way the backstop fails only when the shard really
-    // had zero free cells when scanned.
+    // One-cell run-claim: word-at-a-time snapshots (64 cells per load),
+    // so the backstop fails only when the shard really had zero free
+    // cells when scanned.
     std::uint64_t cell = 0;
     if (segments_[si].try_claim_run(
             0, shard_stride_, 1, &cell,
@@ -151,7 +122,7 @@ std::uint64_t ShardGroup::try_acquire_many(Xoshiro256& rng,
       stats != nullptr ? &stats->lost_races : nullptr;
   BatchWalkStats walk;
   const std::uint64_t got = batch_claim_ring(
-      shard_mask_, shard_shift_, shard_stride_, sticky, k, out,
+      shard_mask_, shard_shift_, shard_stride_, sticky, rng, k, out,
       [&](std::uint64_t si, bool* late) {
         return probe_segment(si, rng, late, stats);
       },

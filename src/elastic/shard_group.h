@@ -3,10 +3,9 @@
 // A shard group is the unit the ElasticRenamingService publishes, retires,
 // and reclaims: a fixed probe geometry (BatchLayout for n_g/S holders per
 // shard, flattened once and shared via ScheduleCache) over a *single*
-// arena — a cell-probe TasArena or a word-packed BitmapArena, chosen by
-// ArenaKind — carved into S shard segments. One allocation per group —
-// not one per shard — so the epoch-based resize protocol frees a retired
-// generation with one deallocation, and a group's whole footprint
+// word-packed BitmapArena carved into S shard segments. One allocation per
+// group — not one per shard — so the epoch-based resize protocol frees a
+// retired generation with one deallocation, and a group's whole footprint
 // appears/disappears atomically from the service's accounting.
 //
 // Within a group the probing discipline is the RenamingService one
@@ -32,7 +31,6 @@
 #include "platform/striped_counter.h"
 #include "renaming/schedule_cache.h"
 #include "tas/arena_segment.h"
-#include "tas/tas_arena.h"
 
 namespace loren {
 
@@ -40,13 +38,10 @@ class ShardGroup {
  public:
   /// `shards` must be a power of two; `schedule` is the plan for this
   /// group's per-shard holder count (schedule->layout.n() == holders/S).
-  /// `arena_kind` picks the substrate: one cell-probe TasArena or one
-  /// word-packed BitmapArena, either way a single allocation carved into
-  /// shard segments (the segments dispatch, so the probing discipline
-  /// below is substrate-agnostic except for the word-granular probes).
+  /// The substrate is one BitmapArena of shards * stride cells, carved
+  /// into shard segments.
   ShardGroup(std::uint32_t tag, std::uint64_t generation, std::uint64_t holders,
              std::uint64_t shards, ArenaLayout arena_layout,
-             ArenaKind arena_kind,
              std::shared_ptr<const CachedSchedule> schedule);
 
   /// Optional per-call observability (telemetry detailed mode): probe
@@ -61,9 +56,10 @@ class ShardGroup {
     std::uint32_t sweep_shards = 0;
   };
 
-  /// Walk the shard ring starting at *sticky (updated in place: migrate on
-  /// late wins, move to the winning shard when stealing). Returns the
-  /// group-local name, or -1 when every shard's schedule missed.
+  /// Walk the shard ring starting at *sticky (updated in place: migrate to
+  /// a random shard on late wins, move to the winning shard when
+  /// stealing). Returns the group-local name, or -1 when every shard's
+  /// schedule missed.
   std::int64_t try_acquire(Xoshiro256& rng, std::uint32_t* sticky,
                            ProbeStats* stats = nullptr);
 
@@ -81,8 +77,8 @@ class ShardGroup {
   /// Batched acquisition: claims up to `k` group-local names into `out`,
   /// returning the number claimed. One probe-schedule walk finds a seed
   /// cell per visited shard; the rest of that shard's demand is taken by
-  /// a linear run-claim around the seed (one cache line at a time — see
-  /// TasArena::try_claim_run). Walks the shard ring from *sticky like
+  /// a linear run-claim around the seed (one word at a time — see
+  /// BitmapArena::try_claim_run). Walks the shard ring from *sticky like
   /// try_acquire, then falls back to the deterministic sweep
   /// (renaming/batch_claim.h holds the shared walk), so a shortfall
   /// (return < k) means the group had fewer than k free cells when
@@ -148,11 +144,7 @@ class ShardGroup {
     return shard_stride_ << shard_shift_;
   }
   [[nodiscard]] std::uint64_t footprint_bytes() const {
-    return bitmap_ != nullptr ? bitmap_->footprint_bytes()
-                              : arena_->footprint_bytes();
-  }
-  [[nodiscard]] ArenaKind arena_kind() const {
-    return bitmap_ != nullptr ? ArenaKind::kBitmap : ArenaKind::kCellProbe;
+    return arena_.footprint_bytes();
   }
   [[nodiscard]] const BatchLayout& shard_layout() const {
     return schedule_->layout;
@@ -180,11 +172,9 @@ class ShardGroup {
   std::uint64_t shard_mask_;    // shards - 1 (power of two)
   std::uint32_t shard_shift_;   // log2(shards)
   std::shared_ptr<const CachedSchedule> schedule_;
-  /// Exactly one substrate is engaged (by arena_kind at construction);
-  /// either way one allocation of shards * stride cells that the
-  /// segments window into.
-  std::unique_ptr<TasArena> arena_;
-  std::unique_ptr<BitmapArena> bitmap_;
+  /// One allocation of shards * stride cells that the segments window
+  /// into.
+  BitmapArena arena_;
   std::vector<ArenaSegment> segments_;
   StripedCounter live_;
   // mo: acquire, release -- retirement flag: retire() release-stores it

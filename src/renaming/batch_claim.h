@@ -1,20 +1,19 @@
 // The shared seed-and-run-claim ring walk behind every batched surface.
 //
 // RenamingService::acquire_many and ShardGroup::try_acquire_many run the
-// same algorithm over different substrates (per-shard TasArenas with
-// per-shard schedules vs ArenaSegment windows of one group arena under a
-// shared schedule): walk the shard ring from the caller's sticky hint;
-// per visited shard, one probe-schedule walk wins a *seed* cell and the
-// batch's remaining demand is run-claimed linearly from the seed
+// same algorithm over different shard storage (per-shard BitmapArenas
+// with per-shard schedules vs ArenaSegment windows of one group arena
+// under a shared schedule): walk the shard ring from the caller's sticky
+// hint; per visited shard, one probe-schedule walk wins a *seed* cell and
+// the batch's remaining demand is run-claimed linearly from the seed
 // (forward to the shard end, then wrapping once to the cells before it);
 // if the schedule phase leaves a shortfall, a deterministic sweep of
 // every shard backstops, so returning < k means the namespace really had
 // fewer than k free cells when scanned. This header keeps exactly one
-// copy of that walk; the substrates plug in via two callables. On a
-// bitmap substrate (ArenaKind::kBitmap) the plugged-in claim callable
-// bottoms out in BitmapArena::try_claim_run, so a k-cell run is claimed
-// via assembled bit masks — one fetch_or per word — rather than k
-// per-cell RMWs; the walk itself is identical either way.
+// copy of that walk; the services plug in via two callables. The claim
+// callable bottoms out in BitmapArena::try_claim_run, so a k-cell run is
+// claimed via assembled bit masks — one fetch_or per word — rather than
+// k per-cell RMWs.
 //
 // The walk origin is captured before the loop: the sticky hint is
 // updated *during* the walk (migrate on late wins, move to the serving
@@ -24,13 +23,23 @@
 
 #include <cstdint>
 
+#include "platform/rng.h"
 #include "platform/sim_point.h"
 
 namespace loren {
 
+/// Where a sticky hint moves after a late win (the shard is running hot):
+/// a uniformly random shard. Moving to the next shard in ring order
+/// instead lets threads that migrate often catch up with one another and
+/// travel the ring as a bunch, where each one's releases and claims land
+/// in the 64-cell words the others are probing.
+inline std::uint32_t late_win_shard(Xoshiro256& rng, std::uint64_t shard_mask) {
+  return static_cast<std::uint32_t>(rng.next() & shard_mask);
+}
+
 /// Runs a raw cell-index claim into the caller's output slots, then
 /// encodes in place as (cell << shard_shift) | si — the name layout both
-/// substrates share. `raw_claim(raw)` must write up to its budget of
+/// services share. `raw_claim(raw)` must write up to its budget of
 /// claimed cell indices to `raw` and return the count. uint64/int64
 /// alias legally and every claimed index fits either, so no scratch
 /// buffer is needed.
@@ -54,8 +63,8 @@ std::uint64_t claim_encode_inplace(RawClaim&& raw_claim,
 /// from, to, budget, out)` linearly claims up to `budget` free cells of
 /// shard si's window [from, to) and writes them *encoded* to `out`,
 /// returning the count. Encoded names are (cell << shard_shift) | si for
-/// both substrates, which is why the seed's cell index is recovered here
-/// with one shift.
+/// both services, which is why the seed's cell index is recovered here
+/// with one shift. A late seed moves *sticky to late_win_shard(rng).
 ///
 /// `sweep_budget` bounds the phase-2 backstop to that many shard sweeps
 /// (0 = unbounded, the historical full walk). When the budget truncates
@@ -78,9 +87,10 @@ template <class Probe, class Claim>
 std::uint64_t batch_claim_ring(std::uint64_t shard_mask,
                                std::uint32_t shard_shift,
                                std::uint64_t shard_stride,
-                               std::uint32_t* sticky, std::uint64_t k,
-                               std::int64_t* out, Probe&& probe,
-                               Claim&& claim, std::uint64_t sweep_budget = 0,
+                               std::uint32_t* sticky, Xoshiro256& rng,
+                               std::uint64_t k, std::int64_t* out,
+                               Probe&& probe, Claim&& claim,
+                               std::uint64_t sweep_budget = 0,
                                bool* sweep_budget_hit = nullptr,
                                BatchWalkStats* walk_stats = nullptr) {
   const std::uint64_t S = shard_mask + 1;
@@ -100,7 +110,7 @@ std::uint64_t batch_claim_ring(std::uint64_t shard_mask,
     if (walked != 0) {
       *sticky = static_cast<std::uint32_t>(si);
     } else if (late) {
-      *sticky = static_cast<std::uint32_t>((si + 1) & shard_mask);
+      *sticky = late_win_shard(rng, shard_mask);
     }
   }
   if (walk_stats != nullptr) {

@@ -92,11 +92,10 @@ ThreadCtx& thread_ctx(std::uint64_t seed) {
   return ctx;
 }
 
-std::uint64_t padded_shard_bytes(std::uint64_t n, std::uint64_t shards,
-                                 const loren::BatchLayoutParams& params) {
+std::uint64_t shard_cells(std::uint64_t n, std::uint64_t shards,
+                          const loren::BatchLayoutParams& params) {
   const std::uint64_t holders = (n + shards - 1) / shards;
-  return loren::BatchLayout(holders, params).total() *
-         loren::TasArena::kCacheLine;
+  return loren::BatchLayout(holders, params).total();
 }
 
 }  // namespace
@@ -111,17 +110,15 @@ std::uint64_t auto_shard_count(std::uint64_t n, const BatchLayoutParams& params,
   // it as 1 — the conservative reading, made explicit here rather than
   // left to the accident that `shards < 0u` is unsatisfiable (the clamp
   // pins the hw==0 contract down so it is documented and, with hw
-  // injectable, unit-tested; the L1-size condition below still drives
-  // the shard count up for large namespaces).
+  // injectable, unit-tested; the cell cap below still drives the shard
+  // count up for large namespaces).
   const std::uint64_t hw = std::max<std::uint32_t>(1u, hw_threads);
   // Grow while (a) hardware threads would share home shards or (b) a
-  // padded shard spills out of half an L1d — the sticky hot path is
-  // fastest when a thread's whole probe target is cache-resident — but
-  // never shard below 64 holders.
-  constexpr std::uint64_t kHalfL1 = 32 * 1024;
+  // shard exceeds the cell cap — a sticky thread's whole probe target
+  // stays a few cache lines — but never shard below 64 holders.
   std::uint64_t shards = 1;
   while (n / (shards * 2) >= 64 &&
-         (shards < hw || padded_shard_bytes(n, shards, params) > kHalfL1)) {
+         (shards < hw || shard_cells(n, shards, params) > kMaxShardCells)) {
     shards <<= 1;
   }
   return shards;
@@ -164,8 +161,7 @@ RenamingService::RenamingService(std::uint64_t n,
   shards_.reserve(shards);
   for (std::uint64_t i = 0; i < shards; ++i) {
     shards_.push_back(std::make_unique<Shard>(shard_n_, options_.layout_extra,
-                                              options_.arena_layout,
-                                              options_.arena_kind));
+                                              options_.arena_layout));
   }
   shard_stride_ = shards_[0]->layout.total();
   capacity_ = shard_stride_ << shard_shift_;
@@ -232,7 +228,7 @@ bool RenamingService::reclaim_cell(void* ctx, Name name) {
   const std::uint64_t si = static_cast<std::uint64_t>(name) & self->shard_mask_;
   const std::uint64_t local =
       static_cast<std::uint64_t>(name) >> self->shard_shift_;
-  return self->shards_[si]->seg.try_release(local);
+  return self->shards_[si]->arena.try_release(local);
 }
 
 void RenamingService::directory_flush(void* service, void* payload) {
@@ -343,37 +339,21 @@ Name RenamingService::probe_shard(Shard& shard, std::uint64_t shard_index,
                                   std::uint32_t* probes,
                                   std::uint32_t* lost_races) {
   const FlatProbeSchedule::Slot* const first = shard.schedule.begin();
-  if (shard.seg.kind() == ArenaKind::kBitmap) {
-    // Word-granular probes: the slot's random draw nominates a word and
-    // the 64-way scan claims any free cell in it, so a probe fails only
-    // when its whole word is full (see tas/bitmap_arena.h).
-    for (const auto* slot = first; slot != shard.schedule.end(); ++slot) {
-      const std::uint64_t x = slot->offset + rng.below(slot->size);
-      const std::int64_t cell = shard.seg.try_claim_word(x, lost_races);
-      if (cell >= 0) {
-        late = (slot - first) >= kMigrateThreshold;
-        if (probes != nullptr) {
-          *probes += static_cast<std::uint32_t>(slot - first) + 1;
-        }
-        return static_cast<Name>(
-            (static_cast<std::uint64_t>(cell) << shard_shift_) | shard_index);
-      }
-    }
-    if (probes != nullptr) {
-      *probes += static_cast<std::uint32_t>(shard.schedule.end() - first);
-    }
-    return -1;
-  }
+  // Word-granular probes: the slot's random draw nominates a word and the
+  // 64-way scan claims any free cell in it, so a probe fails only when
+  // its whole word is full (see tas/bitmap_arena.h).
   for (const auto* slot = first; slot != shard.schedule.end(); ++slot) {
     const std::uint64_t x = slot->offset + rng.below(slot->size);
-    // sim:exempt(forwards to the arena RMW, which carries the sim point)
-    if (shard.seg.test_and_set(x)) {
+    const std::int64_t cell =
+        shard.arena.try_claim_in_word(x, 0, shard_stride_, lost_races);
+    if (cell >= 0) {
       late = (slot - first) >= kMigrateThreshold;
       if (probes != nullptr) {
         *probes += static_cast<std::uint32_t>(slot - first) + 1;
       }
       // Interleaved encoding: local * S + shard, so decode is shift/mask.
-      return static_cast<Name>((x << shard_shift_) | shard_index);
+      return static_cast<Name>(
+          (static_cast<std::uint64_t>(cell) << shard_shift_) | shard_index);
     }
   }
   if (probes != nullptr) {
@@ -493,7 +473,7 @@ Name RenamingService::acquire() {
         per.stripe->add(ins_.shard_migrations);
         LOREN_TRACE("service.migrate", si);
       } else if (late) {
-        per.shard = static_cast<std::uint32_t>((si + 1) & shard_mask_);
+        per.shard = late_win_shard(ctx.rng, shard_mask_);
         per.stripe->add(ins_.shard_migrations);
         LOREN_TRACE("service.migrate", per.shard);
       }
@@ -507,8 +487,8 @@ Name RenamingService::acquire() {
   }
   // Every schedule missed (probability 1/n^(beta-o(1)) per shard unless
   // the namespace really is near-exhausted): deterministic sweep — a
-  // one-cell run-claim per shard, word-at-a-time on a bitmap substrate
-  // (64 cells per snapshot) — so acquire() fails only when zero cells
+  // one-cell run-claim per shard, word-at-a-time (64 cells per
+  // snapshot) — so acquire() fails only when zero cells
   // are free, or fails fast with kSweepBudgetExhausted once the bounded
   // retry budget (if configured) is spent.
   const std::uint64_t sweep_cap =
@@ -521,7 +501,7 @@ Name RenamingService::acquire() {
     per.stripe->add(ins_.sweeps);
     LOREN_TRACE("service.sweep", si);
     std::uint64_t u = 0;
-    if (shards_[si]->seg.try_claim_run(0, shard_stride_, 1, &u, plost) == 1) {
+    if (shards_[si]->arena.try_claim_run(0, shard_stride_, 1, &u, plost) == 1) {
       per.shard = static_cast<std::uint32_t>(si);
       RegisteredCounter::add(*per.counter, 1);
       const Name name = static_cast<Name>((u << shard_shift_) | si);
@@ -549,7 +529,7 @@ std::uint64_t RenamingService::claim_encoded(Shard& shard,
                                              std::uint32_t* lost_races) {
   return claim_encode_inplace(
       [&](std::uint64_t* raw) {
-        return shard.seg.try_claim_run(from, to, k, raw, lost_races);
+        return shard.arena.try_claim_run(from, to, k, raw, lost_races);
       },
       shard_shift_, shard_index, out);
 }
@@ -615,7 +595,8 @@ std::uint64_t RenamingService::acquire_many(std::uint64_t k, Name* out) {
   bool budget_hit = false;
   BatchWalkStats walk;
   const std::uint64_t shared_got = batch_claim_ring(
-      shard_mask_, shard_shift_, shard_stride_, &per.shard, want, out + got,
+      shard_mask_, shard_shift_, shard_stride_, &per.shard, ctx.rng, want,
+      out + got,
       [&](std::uint64_t si, bool* late) {
         return probe_shard(*shards_[si], si, ctx.rng, *late, pprobes, plost);
       },
@@ -682,7 +663,7 @@ std::uint64_t RenamingService::release_shared(
     }
     const std::uint64_t si = static_cast<std::uint64_t>(name) & shard_mask_;
     const std::uint64_t local = static_cast<std::uint64_t>(name) >> shard_shift_;
-    if (shards_[si]->seg.try_release(local)) ++freed;
+    if (shards_[si]->arena.try_release(local)) ++freed;
   }
   if (freed > 0) {
     RegisteredCounter::add(counter, -static_cast<std::int64_t>(freed));
@@ -726,7 +707,7 @@ std::uint64_t RenamingService::release_many(const Name* names,
       const std::uint64_t si = static_cast<std::uint64_t>(name) & shard_mask_;
       const std::uint64_t local =
           static_cast<std::uint64_t>(name) >> shard_shift_;
-      if (shards_[si]->seg.read(local) != 1) continue;  // not held
+      if (shards_[si]->arena.read(local) != 1) continue;  // not held
       // Absorbing a name re-homes its lease onto this thread's heartbeat
       // (the original holder may exit; the stash must keep it alive). A
       // rebind the reaper already beat means the cell isn't ours to park.
@@ -788,7 +769,7 @@ bool RenamingService::release(Name name) {
     // acquisition. Contract-violating races (two threads releasing one
     // held name) are undetectable without the RMW — see release()'s
     // contract in service.h.
-    if (shards_[si]->seg.read(local) != 1) return finish(false);
+    if (shards_[si]->arena.read(local) != 1) return finish(false);
     // Absorbing re-homes the lease onto this thread (see release_many).
     if (leases_ != nullptr &&
         !leases_->rebind(name, leases_->now(), per.hb) &&
@@ -811,7 +792,7 @@ bool RenamingService::release(Name name) {
     // reject the late release rather than free someone else's cell.
     return finish(false);
   }
-  if (!shards_[si]->seg.try_release(local)) return finish(false);
+  if (!shards_[si]->arena.try_release(local)) return finish(false);
   if (per.counter == nullptr) {
     per.counter = &live_.register_thread();
     per.stripe = &ins_.registry->stripe();
@@ -857,7 +838,7 @@ std::uint32_t RenamingService::thread_cache_capacity() const {
 }
 
 void RenamingService::reset() {
-  for (auto& shard : shards_) shard->reset();
+  for (auto& shard : shards_) shard->arena.reset();
   live_.reset();
   // Drop every lease without reclaiming — the epoch bumps above already
   // freed every cell, so reclaim callbacks would double-free.

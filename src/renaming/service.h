@@ -4,17 +4,20 @@
 // thread probes the same B_0, and under churn all acquisitions funnel
 // through one probe geometry and one set of hot lines. The service splits
 // the namespace into S shards (a power of two), each an independent
-// cache-line-padded TasArena with its own flattened ReBatching layout
-// sized for n/S holders. A thread probes a *sticky* shard — initially its
-// home shard, a cheap dense thread hash — so disjoint thread groups run
-// on disjoint memory, and S is chosen so one padded shard fits in L1:
-// under churn a thread's entire probe target stays cache-resident, which
-// a single (1+eps)n-cell arena can never be. When a shard runs hot (wins
-// start arriving late in the probe schedule) the thread migrates to the
-// next shard in ring order; when a schedule misses outright it steals
-// from the neighbours; and after all S schedules miss it falls back to a
-// deterministic sweep of every cell, so acquire() fails only when the
-// whole namespace is exhausted.
+// word-packed BitmapArena (64 cells per word, one word per cache line in
+// the padded layout) with its own flattened ReBatching layout sized for
+// n/S holders. A thread probes a *sticky* shard — initially its home
+// shard, a cheap dense thread hash — so disjoint thread groups run on
+// disjoint memory, and S is chosen so a shard holds at most 512 cells
+// (eight words): under churn a thread's entire probe target is a few
+// cache lines, which a single (1+eps)n-cell arena can never be. Each
+// probe of the schedule claims any free cell of the word it lands in —
+// one load and one fetch_or, the paper's TAS object 64 cells at a time
+// (see tas/bitmap_arena.h). When a shard runs hot (wins start arriving
+// late in the probe schedule) the thread migrates to a random shard; when
+// a schedule misses outright it steals from the neighbours; and after all
+// S schedules miss it falls back to a deterministic sweep of every cell,
+// so acquire() fails only when the whole namespace is exhausted.
 //
 // Names are interleaved across shards — name = local * S + shard — so
 // mapping a name back to its shard is a mask, not a division, and the
@@ -37,8 +40,9 @@
 //     per-call reseed-from-ticket of ConcurrentRenamer::get_name_direct
 //     (a shared fetch_add + six SplitMix64 rounds per acquisition)
 //     happens once per thread here;
-//   * padded L1-sized arenas — concurrent wins on distinct names never
-//     share a cache line, and a sticky thread's probes stay in L1;
+//   * word-scan shards of at most 512 cells — a probe covers 64 cells
+//     with one load and one RMW, and a sticky thread's probes stay in a
+//     few cache lines;
 //   * registered per-thread live counter — bookkeeping is a plain store
 //     to a thread-owned cache line, not a locked RMW, and acquire/release
 //     never serialize on one cell;
@@ -58,19 +62,22 @@
 #include "renaming/probe_schedule.h"
 #include "renaming/thread_ctx.h"
 #include "sim/env.h"
-#include "tas/arena_segment.h"
 #include "tas/bitmap_arena.h"
-#include "tas/tas_arena.h"
 #include "telemetry/metrics.h"
 
 namespace loren {
 
+/// Cell cap of an auto-sized shard: 512 cells is eight 64-cell words.
+inline constexpr std::uint64_t kMaxShardCells = 512;
+
 /// The auto-sharding heuristic shared by RenamingService and the elastic
 /// shard groups: the smallest power-of-two shard count such that (a)
-/// hardware threads get distinct home shards and (b) a padded shard arena
-/// fits in half an L1d (32 KiB), clamped so every shard still serves
-/// >= 64 holders (tiny shards overflow constantly and every acquisition
-/// degenerates to stealing).
+/// hardware threads get distinct home shards and (b) a shard's layout
+/// has at most kMaxShardCells (512) cells, clamped so every shard still
+/// serves >= 64 holders (tiny shards overflow constantly and every
+/// acquisition degenerates to stealing). The shard count fixes each
+/// shard's holder count, and with it the per-acquisition step counts and
+/// the namespace size, so the policy is pinned by tests.
 ///
 /// `hw_threads` is the hardware thread count to shard for; 0 means
 /// "unknown" (std::thread::hardware_concurrency() is allowed to return 0)
@@ -96,14 +103,12 @@ struct RenamingServiceOptions {
   double epsilon = 0.5;
   /// Number of shards, rounded up to a power of two. 0 = auto: enough
   /// shards that (a) hardware threads get distinct home shards and (b) a
-  /// padded shard arena fits in half an L1d (32 KiB), clamped so every
-  /// shard still serves >= 64 holders.
+  /// shard has at most kMaxShardCells cells, clamped so every shard still
+  /// serves >= 64 holders.
   std::uint64_t shards = 0;
+  /// Layout of the shard BitmapArenas' word slots (kPadded: one 64-cell
+  /// word per cache line; kPacked: four words per line).
   ArenaLayout arena_layout = ArenaLayout::kPadded;
-  /// Substrate for the shard arenas: kCellProbe (TasArena, one RMW per
-  /// cell probed) or kBitmap (BitmapArena, 64 cells per probe via word
-  /// scans — see tas/bitmap_arena.h for the tradeoff).
-  ArenaKind arena_kind = ArenaKind::kCellProbe;
   std::uint64_t seed = 0x53ED;
   BatchLayoutParams layout_extra{};
   /// Thread-local name cache: each thread keeps a bounded stash of names
@@ -224,7 +229,7 @@ class RenamingService {
   /// callers that must have all k retry the remainder. One sticky-shard
   /// ring walk (renaming/batch_claim.h): per visited shard a single
   /// probe-schedule walk seeds a linear run-claim
-  /// (TasArena::try_claim_run), the deterministic sweep backstops, and
+  /// (BitmapArena::try_claim_run), the deterministic sweep backstops, and
   /// the live counter gets one add of +got — so a batch of k costs one
   /// TLS lookup, ~one schedule walk, and one counter update instead of k
   /// of each. Names are the same interleaved encoding as acquire();
@@ -295,7 +300,6 @@ class RenamingService {
   [[nodiscard]] std::uint64_t num_shards() const { return shards_.size(); }
   [[nodiscard]] std::uint64_t shard_holders() const { return shard_n_; }
   [[nodiscard]] ArenaLayout arena_layout() const { return options_.arena_layout; }
-  [[nodiscard]] ArenaKind arena_kind() const { return options_.arena_kind; }
   /// Approximate while calls are in flight, exact at quiescence (after
   /// the workers have been joined or otherwise synchronized). Names
   /// parked in thread stashes count as live — they are unavailable to
@@ -349,37 +353,20 @@ class RenamingService {
  private:
   struct Shard {
     Shard(std::uint64_t holders, const BatchLayoutParams& params,
-          ArenaLayout arena_layout, ArenaKind arena_kind)
-        : layout(holders, params), schedule(layout) {
-      if (arena_kind == ArenaKind::kBitmap) {
-        bitmap = std::make_unique<BitmapArena>(layout.total(), arena_layout);
-        seg = ArenaSegment(*bitmap, 0, layout.total());
-      } else {
-        arena = std::make_unique<TasArena>(layout.total(), arena_layout);
-        seg = ArenaSegment(*arena, 0, layout.total());
-      }
-    }
-
-    void reset() {
-      if (bitmap != nullptr) {
-        bitmap->reset();
-      } else {
-        arena->reset();
-      }
-    }
+          ArenaLayout arena_layout)
+        : layout(holders, params),
+          schedule(layout),
+          arena(layout.total(), arena_layout) {}
 
     BatchLayout layout;
     FlatProbeSchedule schedule;
-    /// Exactly one substrate is engaged (by options.arena_kind); all
-    /// probe/claim/release traffic goes through `seg`, which dispatches.
-    std::unique_ptr<TasArena> arena;
-    std::unique_ptr<BitmapArena> bitmap;
-    ArenaSegment seg;
+    BitmapArena arena;
   };
 
   /// Wins arriving at or past this probe position mean the shard is
   /// running hot (expected position under the analysis' load is O(1)),
-  /// and the caller's sticky hint migrates to the next shard.
+  /// and the caller's sticky hint migrates to a random shard
+  /// (late_win_shard, renaming/batch_claim.h).
   static constexpr std::ptrdiff_t kMigrateThreshold = 8;
 
   /// Detailed-mode sampling: every (mask+1)-th acquire/release on a
@@ -497,12 +484,9 @@ class RenamingService {
   std::uint64_t shard_mask_ = 0;    // num_shards - 1 (power of two)
   std::uint32_t shard_shift_ = 0;   // log2(num_shards)
   std::uint64_t capacity_ = 0;
-  /// unique_ptr per shard: Shard owns its arena (a TasArena or a
-  /// BitmapArena per options_.arena_kind; non-movable storage either
-  /// way) and each arena's cell block is independently allocated, so
-  /// shards never share an allocation — and, on the padded cell-probe
-  /// substrate, never a cache line (bitmap shards pack 64+ cells per
-  /// line by design; see tas/bitmap_arena.h for that tradeoff).
+  /// unique_ptr per shard: Shard owns its BitmapArena (non-movable) and
+  /// each arena's word block is independently allocated, so shards never
+  /// share an allocation, a word, or (padded layout) a cache line.
   std::vector<std::unique_ptr<Shard>> shards_;
   RegisteredCounter live_;
   /// Stash-invalidation generation: reset() bumps it, and a stash tagged

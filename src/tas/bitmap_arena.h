@@ -36,8 +36,8 @@
 // The tradeoff vs TasArena is false sharing by construction: 64 (padded)
 // or 256 (packed) cells share a line, so concurrent wins on neighbouring
 // names contend. The word-scan makes each touch *count* for 64 cells,
-// which is the bet — measured as cell-probe vs word-scan in
-// bench/bench_throughput.cpp, selectable per service via ArenaKind.
+// which is why both renaming services run on this substrate; TasArena
+// remains the paper-model substrate (ConcurrentRenamer, the baselines).
 #pragma once
 
 #include <atomic>
@@ -54,14 +54,6 @@
 #include "telemetry/trace.h"
 
 namespace loren {
-
-/// Which substrate a service builds its shards on. kCellProbe is the
-/// cache-line-per-cell TasArena family (one RMW per cell probed);
-/// kBitmap is the word-packed BitmapArena (64 cells per probe).
-enum class ArenaKind : std::uint8_t {
-  kCellProbe,
-  kBitmap,
-};
 
 class BitmapArena {
  public:

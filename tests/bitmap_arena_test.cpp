@@ -244,7 +244,6 @@ TEST(BitmapArenaThreads, ResetThenConcurrentFirstTouchRefresh) {
 
 TEST(BitmapService, FillExhaustReleaseRoundTrip) {
   RenamingServiceOptions opts;
-  opts.arena_kind = ArenaKind::kBitmap;
   opts.name_cache = false;
   RenamingService service(256, opts);
   std::vector<sim::Name> held;
@@ -266,7 +265,6 @@ TEST(BitmapService, FillExhaustReleaseRoundTrip) {
 
 TEST(BitmapService, AcquireManyClaimsRunsAcrossWords) {
   RenamingServiceOptions opts;
-  opts.arena_kind = ArenaKind::kBitmap;
   opts.name_cache = false;
   RenamingService service(512, opts);
   std::vector<sim::Name> names(300);
@@ -280,7 +278,6 @@ TEST(BitmapService, AcquireManyClaimsRunsAcrossWords) {
 
 TEST(BitmapService, ResetInvalidatesAndReissues) {
   RenamingServiceOptions opts;
-  opts.arena_kind = ArenaKind::kBitmap;
   opts.name_cache = false;
   RenamingService service(128, opts);
   std::vector<sim::Name> names(64);
@@ -299,7 +296,6 @@ TEST(BitmapService, NameStashInteropUnderChurn) {
   constexpr int kThreads = 4;
   constexpr int kOps = 20000;
   RenamingServiceOptions opts;
-  opts.arena_kind = ArenaKind::kBitmap;
   opts.name_cache = true;
   // The service's internal probe RNG streams are this test's only
   // randomness: log/override the seed they all derive from.
@@ -340,7 +336,6 @@ TEST(BitmapService, NameStashInteropUnderChurn) {
 
 TEST(BitmapElastic, GrowShrinkReclaimOnBitmapSubstrate) {
   ElasticOptions opts;
-  opts.arena_kind = ArenaKind::kBitmap;
   opts.seed = test::stress_seed("BitmapElastic.GrowShrinkReclaimOnBitmapSubstrate",
                                 opts.seed);
   opts.min_holders = 64;

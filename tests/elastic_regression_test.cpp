@@ -103,6 +103,18 @@ TEST(AutoShardCount, ShardsForInjectedTopology) {
   EXPECT_EQ(auto_shard_count(64, params, 64), 1u);
 }
 
+// The shard count fixes each shard's holder count, and with it the step
+// counts and namespace size the benchmark gates on, so the policy's
+// values at a 4-thread host are pinned: a change that moves them moves
+// those gated figures.
+TEST(AutoShardCount, PinnedAtFourHardwareThreads) {
+  BatchLayoutParams params;
+  params.epsilon = 0.5;
+  EXPECT_EQ(auto_shard_count(std::uint64_t{1} << 14, params, 4), 64u);
+  EXPECT_EQ(auto_shard_count(std::uint64_t{1} << 16, params, 4), 256u);
+  EXPECT_EQ(auto_shard_count(std::uint64_t{1} << 20, params, 4), 4096u);
+}
+
 TEST(ShardCountFor, InjectedHwFlowsThroughAndExplicitRequestsStillWin) {
   BatchLayoutParams params;
   params.epsilon = 0.5;

@@ -20,6 +20,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <set>
 #include <thread>
 #include <vector>
@@ -239,6 +240,47 @@ class LeaseService : public ::testing::Test {
   void SetUp() override { g_now.store(1, std::memory_order_relaxed); }
 };
 
+// The revived holder of the late-release tests: a live thread that
+// acquires one name and goes dark until revive() runs a late operation on
+// it. The name is reaped and reacquired by a *different* thread meanwhile
+// (the reap hands the cell back to the lowest free bit, so the reacquirer
+// typically gets the same name bits), which is the foreign-identity,
+// same-bits case the lease guard exists for. A same-thread reacquire
+// would make the "late" release the holder's own legitimate one.
+class DarkHolder {
+ public:
+  template <class Service>
+  explicit DarkHolder(Service& svc)
+      : thread_([this, &svc] {
+          name_ = svc.acquire();
+          acquired_.store(true);
+          while (!revived_.load()) std::this_thread::yield();
+          late_op_(name_);
+        }) {
+    while (!acquired_.load()) std::this_thread::yield();
+  }
+  ~DarkHolder() {
+    if (thread_.joinable()) revive([](Name) {});
+  }
+  DarkHolder(const DarkHolder&) = delete;
+  DarkHolder& operator=(const DarkHolder&) = delete;
+
+  [[nodiscard]] Name name() const { return name_; }
+  /// Runs `op(name())` on the holder's thread and waits for it to exit.
+  void revive(std::function<void(Name)> op) {
+    late_op_ = std::move(op);
+    revived_.store(true);
+    thread_.join();
+  }
+
+ private:
+  Name name_ = -1;
+  std::function<void(Name)> late_op_;
+  std::atomic<bool> acquired_{false};
+  std::atomic<bool> revived_{false};
+  std::thread thread_;  // last: starts once every member above exists
+};
+
 TEST_F(LeaseService, FixedServiceReapsAbandonedNamesBackIntoTheArena) {
   RenamingServiceOptions opts;
   opts.name_cache = false;
@@ -288,17 +330,20 @@ TEST_F(LeaseService, FixedServiceRejectsARevivedHoldersLateRelease) {
   opts.lease = opts_with(/*ttl=*/100);
   RenamingService svc(64, opts);
 
-  const Name n = svc.acquire();
-  ASSERT_GE(n, 0);
+  DarkHolder holder(svc);
+  ASSERT_GE(holder.name(), 0);
   g_now += 500;  // the holder goes dark for 5 ttls...
   EXPECT_EQ(svc.reap_expired(), 1u);
   EXPECT_EQ(svc.names_live(), 0u);
 
-  // ...then revives and tries to release. The generation/lease guard must
-  // reject it: the cell may already belong to someone else.
+  // ...another thread reacquires, then the holder revives and tries to
+  // release. The lease guard must reject it: the cell belongs to someone
+  // else now.
   const Name other = svc.acquire();
   ASSERT_GE(other, 0);
-  EXPECT_FALSE(svc.release(n)) << "late release of an expired lease accepted";
+  bool late_release = true;
+  holder.revive([&](Name n) { late_release = svc.release(n); });
+  EXPECT_FALSE(late_release) << "late release of an expired lease accepted";
   EXPECT_GE(svc.lease_guard_trips(), 1u);
   EXPECT_EQ(svc.names_live(), 1u) << "the late release freed a victim's cell";
   EXPECT_TRUE(svc.release(other));
@@ -399,15 +444,21 @@ TEST_F(LeaseService, ElasticServiceRejectsLateReleaseAndRenewAfterExpiry) {
   opts.lease = opts_with(/*ttl=*/100);
   ElasticRenamingService svc(64, opts);
 
-  const Name n = svc.acquire();
-  ASSERT_GE(n, 0);
+  DarkHolder holder(svc);
+  ASSERT_GE(holder.name(), 0);
   g_now += 500;
   EXPECT_EQ(svc.reap_expired(), 1u);
   EXPECT_EQ(svc.names_live(), 0u);
-  EXPECT_EQ(svc.renew_lease(n), ElasticRenamingService::kLeaseExpired);
   const Name other = svc.acquire();
   ASSERT_GE(other, 0);
-  EXPECT_FALSE(svc.release(n));
+  Name late_renew = 0;
+  bool late_release = true;
+  holder.revive([&](Name n) {
+    late_renew = svc.renew_lease(n);
+    late_release = svc.release(n);
+  });
+  EXPECT_EQ(late_renew, ElasticRenamingService::kLeaseExpired);
+  EXPECT_FALSE(late_release);
   EXPECT_GE(svc.lease_guard_trips(), 1u);
   EXPECT_EQ(svc.names_live(), 1u);
   EXPECT_TRUE(svc.release(other));

@@ -52,7 +52,6 @@ std::string run_churn_scenario(const Scenario& scenario, std::string* trace) {
   opts.max_holders = 4096;
   opts.auto_grow = false;  // the stormer drives every resize explicitly
   opts.name_cache = false;
-  opts.arena_kind = ArenaKind::kBitmap;  // word-claim paths included
   ElasticRenamingService svc(64, opts);
 
   std::ostringstream violations;

@@ -2,9 +2,9 @@
 // the renaming-service contract — uniqueness, exhaustion semantics,
 // batch fill, release round-trips, reset/resize invalidation, and exact
 // live-counter accounting — over the full configuration matrix
-// {RenamingService, ElasticRenamingService} x {kCellProbe, kBitmap} x
-// {name cache on, off}. Every cell must behave identically at this
-// level; substrate and elasticity are implementation detail. Runs under
+// {RenamingService, ElasticRenamingService} x {name cache on, off}.
+// Every cell must behave identically at this level; elasticity is
+// implementation detail. Runs under
 // TSan in CI (the concurrent-uniqueness cell is the data-race probe).
 #include <gtest/gtest.h>
 
@@ -28,19 +28,17 @@ enum class Kind { kFixed, kElastic };
 
 struct Config {
   Kind kind;
-  ArenaKind arena;
   bool cache;
 };
 
 std::string config_name(const ::testing::TestParamInfo<Config>& info) {
   std::string s = info.param.kind == Kind::kFixed ? "Fixed" : "Elastic";
-  s += info.param.arena == ArenaKind::kBitmap ? "Bitmap" : "CellProbe";
   s += info.param.cache ? "Cache" : "NoCache";
   return s;
 }
 
 /// The conformance surface: the operations whose observable behaviour
-/// must not depend on which service (or substrate) backs them.
+/// must not depend on which service backs them.
 class ServiceUnderTest {
  public:
   virtual ~ServiceUnderTest() = default;
@@ -69,7 +67,6 @@ class FixedAdapter final : public ServiceUnderTest {
   FixedAdapter(std::uint64_t n, const Config& cfg) {
     RenamingServiceOptions opts;
     opts.shards = 2;
-    opts.arena_kind = cfg.arena;
     opts.name_cache = cfg.cache;
     svc_ = std::make_unique<RenamingService>(n, opts);
   }
@@ -107,7 +104,6 @@ class ElasticAdapter final : public ServiceUnderTest {
   ElasticAdapter(std::uint64_t n, const Config& cfg) {
     ElasticOptions opts;
     opts.shards = 2;
-    opts.arena_kind = cfg.arena;
     opts.name_cache = cfg.cache;
     // Pin the namespace: conformance asserts fixed-capacity semantics
     // (exhaustion must mean exhaustion, not a growth trigger).
@@ -380,14 +376,8 @@ TEST_P(ServiceConformance, CounterAccountingStaysExactUnderMixedTraffic) {
 INSTANTIATE_TEST_SUITE_P(
     Matrix, ServiceConformance,
     ::testing::Values(
-        Config{Kind::kFixed, ArenaKind::kCellProbe, true},
-        Config{Kind::kFixed, ArenaKind::kCellProbe, false},
-        Config{Kind::kFixed, ArenaKind::kBitmap, true},
-        Config{Kind::kFixed, ArenaKind::kBitmap, false},
-        Config{Kind::kElastic, ArenaKind::kCellProbe, true},
-        Config{Kind::kElastic, ArenaKind::kCellProbe, false},
-        Config{Kind::kElastic, ArenaKind::kBitmap, true},
-        Config{Kind::kElastic, ArenaKind::kBitmap, false}),
+        Config{Kind::kFixed, true}, Config{Kind::kFixed, false},
+        Config{Kind::kElastic, true}, Config{Kind::kElastic, false}),
     config_name);
 
 }  // namespace
