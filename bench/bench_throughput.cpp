@@ -11,7 +11,6 @@
 //                        flattened schedule, striped counter);
 //   * arena-packed     — same, packed arena (the density tradeoff);
 //   * service-sharded  — RenamingService, >= 4 shards, padded;
-//   * service-packed   — RenamingService, >= 4 shards, packed arenas;
 //   * service-single   — RenamingService, 1 shard (isolates sharding from
 //                        the other service-layer wins).
 //
@@ -1175,11 +1174,10 @@ int main(int argc, char** argv) {
   const std::uint64_t service_shards = 0;
 
   using loren::ArenaLayout;
-  auto make_service = [n, eps](std::uint64_t shards, ArenaLayout layout) {
+  auto make_service = [n, eps](std::uint64_t shards) {
     loren::RenamingServiceOptions opts;
     opts.epsilon = eps;
     opts.shards = shards;
-    opts.arena_layout = layout;
     return std::make_unique<loren::RenamingService>(n, opts);
   };
 
@@ -1202,31 +1200,25 @@ int main(int argc, char** argv) {
       thread_counts, duration_ms, n, results);
   bench_variant(
       "service-sharded",
-      [&] { return make_service(service_shards, ArenaLayout::kPadded); },
-      thread_counts, duration_ms, n, results);
-  bench_variant(
-      "service-packed",
-      [&] { return make_service(service_shards, ArenaLayout::kPacked); },
+      [&] { return make_service(service_shards); },
       thread_counts, duration_ms, n, results);
   bench_variant("service-single",
-                [&] { return make_service(1, ArenaLayout::kPadded); },
+                [&] { return make_service(1); },
                 thread_counts, duration_ms, n, results);
 
   // ---- the word-scan substrate, uncached -------------------------------
   // The sharded service with the name cache off: churn workloads
   // otherwise short-circuit into the stash and would measure
   // thread-local pops, not the BitmapArena substrate.
-  auto make_service_uncached = [n, eps](std::uint64_t shards,
-                                        ArenaLayout layout) {
+  auto make_service_uncached = [n, eps](std::uint64_t shards) {
     loren::RenamingServiceOptions opts;
     opts.epsilon = eps;
     opts.shards = shards;
-    opts.arena_layout = layout;
     opts.name_cache = false;
     return std::make_unique<loren::RenamingService>(n, opts);
   };
   auto make_service_wordscan = [&] {
-    return make_service_uncached(service_shards, ArenaLayout::kPadded);
+    return make_service_uncached(service_shards);
   };
   bench_variant("service-wordscan", make_service_wordscan, thread_counts,
                 duration_ms, n, results);
@@ -1274,7 +1266,7 @@ int main(int argc, char** argv) {
   // thread-churn for the variants with a batched surface ------------------
   bench_batch_scenarios(
       "service-sharded",
-      [&] { return make_service(service_shards, ArenaLayout::kPadded); },
+      [&] { return make_service(service_shards); },
       thread_counts, duration_ms, n, results);
   bench_batch_scenarios(
       "elastic",
@@ -1299,11 +1291,11 @@ int main(int argc, char** argv) {
   std::vector<CacheStat> cache_stats;
   bench_cached_scenarios(
       "service-cached",
-      [&] { return make_service(service_shards, ArenaLayout::kPadded); },
+      [&] { return make_service(service_shards); },
       thread_counts, duration_ms, results, cache_stats);
   bench_cached_scenarios(
       "service-uncached",
-      [&] { return make_service_uncached(service_shards, ArenaLayout::kPadded); },
+      [&] { return make_service_uncached(service_shards); },
       thread_counts, duration_ms, results, cache_stats);
   bench_cached_scenarios(
       "elastic-cached",
@@ -1334,14 +1326,13 @@ int main(int argc, char** argv) {
       loren::RenamingServiceOptions opts;
       opts.epsilon = eps;
       opts.shards = service_shards;
-      opts.arena_layout = ArenaLayout::kPadded;
       opts.name_cache = false;
       opts.telemetry.registry = reg;
       return std::make_unique<loren::RenamingService>(n, opts);
     };
     for (unsigned threads : thread_counts) {
       {
-        auto r = make_service_uncached(service_shards, ArenaLayout::kPadded);
+        auto r = make_service_uncached(service_shards);
         results.push_back(run_threads(
             "full-churn", "service-telemetry-off", threads, duration_ms,
             [&](unsigned, const std::atomic<bool>& stop, WorkerCount& c) {
@@ -1393,7 +1384,7 @@ int main(int argc, char** argv) {
   const unsigned ramp_peak = thread_counts.back();
   const int phase_ms = std::max(duration_ms / 2, quick ? 30 : 100);
   {
-    auto fixed = make_service(service_shards, ArenaLayout::kPadded);
+    auto fixed = make_service(service_shards);
     bench_burst_drain("service-sharded", *fixed, ramp_peak, phase_ms, results);
   }
   std::uint64_t elastic_grows = 0, elastic_shrinks = 0, elastic_reclaims = 0,

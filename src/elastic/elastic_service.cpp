@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "platform/sim_point.h"
-#include "renaming/service.h"  // auto_shard_count
 #include "renaming/service_directory.h"
 #include "renaming/thread_ctx.h"
 #include "telemetry/trace.h"
@@ -163,6 +162,7 @@ ElasticRenamingService::ElasticRenamingService(std::uint64_t initial_holders,
   ins_.cache_hits = reg.counter("elastic.cache.hits");
   ins_.cache_misses = reg.counter("elastic.cache.misses");
   ins_.sweep_budget_exhausted = reg.counter("elastic.sweep.budget_exhausted");
+  ins_.shard_migrations = reg.counter("elastic.shard.migrations");
   ins_.sweeps = reg.counter("elastic.sweep.invocations");
   ins_.stash_spills = reg.counter("elastic.stash.spills");
   ins_.stash_flushes = reg.counter("elastic.stash.flushes");
@@ -201,8 +201,7 @@ ElasticRenamingService::ElasticRenamingService(std::uint64_t initial_holders,
         shard_count_for(initial, options_.shards, schedules_.params());
     const std::uint64_t shard_n = (initial + shards - 1) / shards;
     auto group = std::make_unique<ShardGroup>(
-        /*tag=*/0, /*generation=*/1, initial, shards, options_.arena_layout,
-        schedules_.get(shard_n));
+        /*tag=*/0, /*generation=*/1, initial, shards, schedules_.get(shard_n));
     ShardGroup* raw = group.get();
     live_local_capacity_.store(raw->local_capacity(),
                                std::memory_order_release);
@@ -448,8 +447,10 @@ Name ElasticRenamingService::acquire() {
       ins_.detailed && ((per.op_tick++ & kLatencySampleMask) == 0);
   const std::uint64_t t0 = timed ? telemetry::trace_ticks() : 0;
   ShardGroup::ProbeStats stats;
-  ShardGroup::ProbeStats* const pstats = timed ? &stats : nullptr;
   const auto finish = [&](Name name) {
+    if (stats.migrations != 0) {
+      per.stripe->add(ins_.shard_migrations, stats.migrations);
+    }
     if (timed) {
       per.stripe->record(ins_.probe_len, stats.probes);
       if (stats.lost_races != 0) {
@@ -499,7 +500,7 @@ Name ElasticRenamingService::acquire() {
       // event double capacity twice.
       seen_gen = generation_.load(std::memory_order_acquire);
       ShardGroup* g = live_group_.load(std::memory_order_acquire);
-      const std::int64_t local = g->try_acquire(ctx.rng, &per.shard, pstats);
+      const std::int64_t local = g->try_acquire(ctx.rng, &per.shard, stats);
       if (local >= 0) {
         g->note_acquired();
         // A schedule win ends any miss streak: pressure must be sustained
@@ -535,7 +536,7 @@ Name ElasticRenamingService::acquire() {
       // always collected — `elastic.sweep.invocations` counts shards
       // swept in every mode (matching service.sweep.invocations).
       swept = g->sweep_acquire(&per.shard, options_.sweep_retry_budget,
-                               &stats);
+                               stats);
       if (swept >= 0) {
         g->note_acquired();
         // A sweep win is still a successful acquisition: it must end the
@@ -689,6 +690,9 @@ std::uint64_t ElasticRenamingService::acquire_many(std::uint64_t k,
   const std::uint64_t t0 = timed ? telemetry::trace_ticks() : 0;
   ShardGroup::ProbeStats stats;
   const auto finish = [&](std::uint64_t n) {
+    if (stats.migrations != 0) {
+      per.stripe->add(ins_.shard_migrations, stats.migrations);
+    }
     if (ins_.detailed) {
       per.stripe->record(ins_.ring_walk, stats.ring_shards);
       if (stats.probes != 0) per.stripe->record(ins_.probe_len, stats.probes);
@@ -748,7 +752,7 @@ std::uint64_t ElasticRenamingService::acquire_many(std::uint64_t k,
       ShardGroup* g = live_group_.load(std::memory_order_acquire);
       round = g->try_acquire_many(ctx.rng, &per.shard, want - got, out + got,
                                   options_.sweep_retry_budget, &budget_hit,
-                                  &stats);
+                                  stats);
       if (round > 0) {
         // One live-counter add and one tag/stamp encode pass per
         // sub-batch — the whole point of batching. The lease clock is
@@ -959,7 +963,7 @@ bool ElasticRenamingService::resize_locked(std::uint64_t target) {
       generation_.load(std::memory_order_relaxed) + 1;
   auto group = std::make_unique<ShardGroup>(
       static_cast<std::uint32_t>(tag), gen, target, shards,
-      options_.arena_layout, schedules_.get(shard_n));
+      schedules_.get(shard_n));
   ShardGroup* raw = group.get();
 
   // Publication order matters: the tag table entry must be visible before

@@ -28,7 +28,7 @@
 //     insert into it is in flight), (b) its live counter drained to zero
 //     (no held names), and (c) a second quiescence after it is unlinked
 //     from the tag table (no release() can still be dereferencing it).
-//     See DESIGN.md, "Elastic renaming: the epoch-based resize protocol".
+//     See docs/protocols.md, "Grow, shrink, and reclaim".
 //
 // Name encoding: name = (group_local << kTagBits) | tag. The tag selects
 // one of kMaxGroups (8) table slots, so release() decodes its group with a
@@ -38,7 +38,8 @@
 // is namespace looseness: issued names are < capacity() =
 // local_capacity * 2^kTagBits, a constant factor over the (1+eps)-tight
 // fixed service. That is the price of elasticity here, and it is bounded
-// and documented rather than hidden (DESIGN.md discusses the tradeoff).
+// and documented rather than hidden (docs/protocols.md, "Grow, shrink,
+// and reclaim", discusses the tag-bit tradeoff).
 //
 // Concurrency contract: acquire/release/grow/shrink/resize/reclaim are
 // safe from any thread. Destruction requires external quiescence (no
@@ -53,16 +54,15 @@
 #include <vector>
 
 #include "control/adaptive_controller.h"
-#include "elastic/shard_group.h"
 #include "lease/lease_table.h"
 #include "platform/epoch.h"
 #include "platform/sim_point.h"
 #include "renaming/acquire_result.h"
 #include "renaming/batch_layout.h"
 #include "renaming/schedule_cache.h"
+#include "renaming/shard_group.h"
 #include "renaming/thread_ctx.h"
 #include "sim/env.h"
-#include "tas/tas_arena.h"
 #include "telemetry/metrics.h"
 
 namespace loren {
@@ -77,9 +77,6 @@ struct ElasticOptions {
   /// heuristic, so a small generation gets few shards and a large one
   /// many).
   std::uint64_t shards = 0;
-  /// Layout of every generation's BitmapArena word slots (kPadded: one
-  /// 64-cell word per cache line; kPacked: four words per line).
-  ArenaLayout arena_layout = ArenaLayout::kPadded;
   std::uint64_t seed = 0xE1A5;
   BatchLayoutParams layout_extra{};
   /// Grow automatically under sustained probe-schedule misses (and always
@@ -126,7 +123,7 @@ struct ElasticOptions {
   /// recycled would otherwise free a victim's cell in the *new* group.
   /// Stamped names are no longer < capacity() (the stamp rides above the
   /// value bits), so keep this off in production and on in tests/debug
-  /// deployments. See DESIGN.md, "The release contract".
+  /// deployments. See docs/protocols.md, "The release contract".
   bool debug_release_guard = false;
   /// Observability (telemetry/metrics.h). Attaching a registry switches
   /// the service into *detailed* mode: per-op histograms (acquire/release
@@ -217,7 +214,8 @@ class ElasticRenamingService {
   /// Batched acquisition: claims up to `k` unique names into `out` and
   /// returns the number acquired. One epoch pin covers the whole batch
   /// (safe: a pin never blocks a resize, only delays reclamation by at
-  /// most one batch — see DESIGN.md), miss accounting is per *batch* (a
+  /// most one batch — see docs/protocols.md, "Batched acquisition: the
+  /// run-claim protocol"), miss accounting is per *batch* (a
   /// batch the probe schedules could not fill is one pressure event, not
   /// k), and a shortfall past the sweep backstop grows the namespace
   /// immediately and claims the remainder from the new generation — so a
@@ -341,8 +339,6 @@ class ElasticRenamingService {
   [[nodiscard]] telemetry::MetricsRegistry& metrics_registry() const {
     return *ins_.registry;
   }
-  /// The calling thread's stash occupancy / adaptive capacity for this
-  /// service (introspection and tests).
   /// Admissions rejected with kShed (exact: one per kShed returned).
   /// Always 0 without a controller (options.control.mode == kOff).
   [[nodiscard]] std::uint64_t shed_events() const {
@@ -352,6 +348,8 @@ class ElasticRenamingService {
   [[nodiscard]] control::AdaptiveController* controller() const {
     return controller_.get();
   }
+  /// The calling thread's stash occupancy / adaptive capacity for this
+  /// service (introspection and tests).
   [[nodiscard]] std::uint32_t thread_cache_size() const;
   [[nodiscard]] std::uint32_t thread_cache_capacity() const;
   [[nodiscard]] const ElasticOptions& options() const { return options_; }
@@ -488,6 +486,7 @@ class ElasticRenamingService {
     telemetry::MetricId cache_hits = 0;
     telemetry::MetricId cache_misses = 0;
     telemetry::MetricId sweep_budget_exhausted = 0;
+    telemetry::MetricId shard_migrations = 0;
     telemetry::MetricId sweeps = 0;
     telemetry::MetricId stash_spills = 0;
     telemetry::MetricId stash_flushes = 0;

@@ -6,8 +6,9 @@
 //   t_0 = ceil(17 ln(8e/eps) / eps)  probes on B_0,
 //   t_i = 1                          probes on B_i, 1 <= i <= kappa-1,
 //   t_kappa = beta                   probes on the last batch.
-// (The published text lost the eps symbols in PDF extraction; see DESIGN.md
-// for why these are the paper's formulas.)
+// (The published text lost the eps symbols in PDF extraction; see
+// docs/protocols.md, "Batch geometry", for why these are the paper's
+// formulas.)
 //
 // For small n the asymptotic expressions degenerate; this class defines the
 // layout for every n >= 1 (kappa = 0 means "only batch B_0") and exposes the

@@ -1,13 +1,10 @@
 #include "renaming/service.h"
 
 #include <algorithm>
-#include <vector>
 #include <atomic>
 #include <stdexcept>
-#include <thread>
 
 #include "platform/sim_point.h"
-#include "renaming/batch_claim.h"
 #include "renaming/service_directory.h"
 #include "renaming/thread_ctx.h"
 #include "telemetry/trace.h"
@@ -92,10 +89,25 @@ ThreadCtx& thread_ctx(std::uint64_t seed) {
   return ctx;
 }
 
-std::uint64_t shard_cells(std::uint64_t n, std::uint64_t shards,
-                          const loren::BatchLayoutParams& params) {
-  const std::uint64_t holders = (n + shards - 1) / shards;
-  return loren::BatchLayout(holders, params).total();
+/// Validates the holder count and folds epsilon into the layout params —
+/// before the shard group is built from them.
+loren::RenamingServiceOptions resolved(std::uint64_t n,
+                                       loren::RenamingServiceOptions options) {
+  if (n == 0) throw std::invalid_argument("RenamingService: n must be >= 1");
+  options.layout_extra.epsilon = options.epsilon;
+  return options;
+}
+
+/// The fixed service's one never-resizing group: every shard laid out for
+/// ceil(n/S) holders under one shared schedule.
+loren::ShardGroup fixed_group(std::uint64_t n,
+                              const loren::RenamingServiceOptions& options) {
+  const std::uint64_t shards =
+      loren::shard_count_for(n, options.shards, options.layout_extra);
+  return loren::ShardGroup(
+      /*tag=*/0, /*generation=*/1, n, shards,
+      std::make_shared<const loren::CachedSchedule>((n + shards - 1) / shards,
+                                                    options.layout_extra));
 }
 
 }  // namespace
@@ -104,68 +116,11 @@ namespace loren {
 
 using sim::Name;
 
-std::uint64_t auto_shard_count(std::uint64_t n, const BatchLayoutParams& params,
-                               std::uint32_t hw_threads) {
-  // hardware_concurrency() may legitimately return 0 ("unknown"). Treat
-  // it as 1 — the conservative reading, made explicit here rather than
-  // left to the accident that `shards < 0u` is unsatisfiable (the clamp
-  // pins the hw==0 contract down so it is documented and, with hw
-  // injectable, unit-tested; the cell cap below still drives the shard
-  // count up for large namespaces).
-  const std::uint64_t hw = std::max<std::uint32_t>(1u, hw_threads);
-  // Grow while (a) hardware threads would share home shards or (b) a
-  // shard exceeds the cell cap — a sticky thread's whole probe target
-  // stays a few cache lines — but never shard below 64 holders.
-  std::uint64_t shards = 1;
-  while (n / (shards * 2) >= 64 &&
-         (shards < hw || shard_cells(n, shards, params) > kMaxShardCells)) {
-    shards <<= 1;
-  }
-  return shards;
-}
-
-std::uint64_t auto_shard_count(std::uint64_t n,
-                               const BatchLayoutParams& params) {
-  return auto_shard_count(n, params, std::thread::hardware_concurrency());
-}
-
-std::uint64_t shard_count_for(std::uint64_t n, std::uint64_t requested,
-                              const BatchLayoutParams& params,
-                              std::uint32_t hw_threads) {
-  if (requested == 0) return auto_shard_count(n, params, hw_threads);
-  std::uint64_t shards = 1;
-  while (shards < requested) shards <<= 1;  // round up to a power of two
-  while (shards > 1 && shards > n) shards >>= 1;
-  return shards;
-}
-
-std::uint64_t shard_count_for(std::uint64_t n, std::uint64_t requested,
-                              const BatchLayoutParams& params) {
-  return shard_count_for(n, requested, params,
-                         std::thread::hardware_concurrency());
-}
-
 RenamingService::RenamingService(std::uint64_t n,
                                  RenamingServiceOptions options)
-    : options_(options), id_(next_service_instance_id()) {
-  if (n == 0) throw std::invalid_argument("RenamingService: n must be >= 1");
-  options_.layout_extra.epsilon = options_.epsilon;
-
-  const std::uint64_t shards =
-      shard_count_for(n, options_.shards, options_.layout_extra);
-
-  shard_n_ = (n + shards - 1) / shards;
-  shard_mask_ = shards - 1;
-  shard_shift_ = 0;
-  for (std::uint64_t s = shards; s > 1; s >>= 1) ++shard_shift_;
-  shards_.reserve(shards);
-  for (std::uint64_t i = 0; i < shards; ++i) {
-    shards_.push_back(std::make_unique<Shard>(shard_n_, options_.layout_extra,
-                                              options_.arena_layout));
-  }
-  shard_stride_ = shards_[0]->layout.total();
-  capacity_ = shard_stride_ << shard_shift_;
-
+    : options_(resolved(n, options)),
+      id_(next_service_instance_id()),
+      group_(fixed_group(n, options_)) {
   // Resolve the telemetry surface once: attached registry = detailed mode
   // (per-op histograms live), internal fallback = event counters only.
   // Metric ids are interned here so the hot paths never touch a name.
@@ -222,13 +177,8 @@ RenamingService::~RenamingService() {
 
 bool RenamingService::reclaim_cell(void* ctx, Name name) {
   auto* self = static_cast<RenamingService*>(ctx);
-  if (name < 0 || static_cast<std::uint64_t>(name) >= self->capacity_) {
-    return false;
-  }
-  const std::uint64_t si = static_cast<std::uint64_t>(name) & self->shard_mask_;
-  const std::uint64_t local =
-      static_cast<std::uint64_t>(name) >> self->shard_shift_;
-  return self->shards_[si]->arena.try_release(local);
+  return name >= 0 &&
+         self->group_.release_local(static_cast<std::uint64_t>(name));
 }
 
 void RenamingService::directory_flush(void* service, void* payload) {
@@ -295,11 +245,11 @@ void RenamingService::lease_heartbeat(
 
 Name RenamingService::renew_lease(Name name) {
   if (leases_ == nullptr) return name;
-  if (name < 0 || static_cast<std::uint64_t>(name) >= capacity_) {
+  if (name < 0 || static_cast<std::uint64_t>(name) >= capacity()) {
     return kLeaseExpired;
   }
   ThreadCtx& ctx = thread_ctx(options_.seed);
-  auto& per = ctx.for_service(id_, ctx.slot & shard_mask_,
+  auto& per = ctx.for_service(id_, ctx.slot & (group_.shards() - 1),
                               options_.name_cache_capacity);
   if (per.counter == nullptr) {
     per.counter = &live_.register_thread();
@@ -315,7 +265,7 @@ Name RenamingService::renew_lease(Name name) {
 std::size_t RenamingService::reap_expired() {
   if (leases_ == nullptr) return 0;
   ThreadCtx& ctx = thread_ctx(options_.seed);
-  auto& per = ctx.for_service(id_, ctx.slot & shard_mask_,
+  auto& per = ctx.for_service(id_, ctx.slot & (group_.shards() - 1),
                               options_.name_cache_capacity);
   if (per.counter == nullptr) {
     per.counter = &live_.register_thread();
@@ -332,34 +282,6 @@ std::size_t RenamingService::reap_expired() {
     if (controller_ != nullptr) controller_->note_release();
   }
   return reclaimed;
-}
-
-Name RenamingService::probe_shard(Shard& shard, std::uint64_t shard_index,
-                                  Xoshiro256& rng, bool& late,
-                                  std::uint32_t* probes,
-                                  std::uint32_t* lost_races) {
-  const FlatProbeSchedule::Slot* const first = shard.schedule.begin();
-  // Word-granular probes: the slot's random draw nominates a word and the
-  // 64-way scan claims any free cell in it, so a probe fails only when
-  // its whole word is full (see tas/bitmap_arena.h).
-  for (const auto* slot = first; slot != shard.schedule.end(); ++slot) {
-    const std::uint64_t x = slot->offset + rng.below(slot->size);
-    const std::int64_t cell =
-        shard.arena.try_claim_in_word(x, 0, shard_stride_, lost_races);
-    if (cell >= 0) {
-      late = (slot - first) >= kMigrateThreshold;
-      if (probes != nullptr) {
-        *probes += static_cast<std::uint32_t>(slot - first) + 1;
-      }
-      // Interleaved encoding: local * S + shard, so decode is shift/mask.
-      return static_cast<Name>(
-          (static_cast<std::uint64_t>(cell) << shard_shift_) | shard_index);
-    }
-  }
-  if (probes != nullptr) {
-    *probes += static_cast<std::uint32_t>(shard.schedule.end() - first);
-  }
-  return -1;
 }
 
 void RenamingService::cache_sync_gen(NameStash& st) const {
@@ -401,9 +323,23 @@ void RenamingService::cache_spill(
   release_shared(buf, n, counter, &stripe, hb);
 }
 
+void RenamingService::note_walk(
+    const ShardGroup::ProbeStats& stats, [[maybe_unused]] std::uint32_t shard,
+    telemetry::MetricsRegistry::ThreadStripe& stripe) {
+  if (stats.migrations != 0) {
+    stripe.add(ins_.shard_migrations, stats.migrations);
+    LOREN_TRACE("service.migrate", shard);
+  }
+  if (stats.sweep_shards != 0) {
+    stripe.add(ins_.sweeps, stats.sweep_shards);
+    LOREN_TRACE("service.sweep", stats.sweep_shards);
+  }
+}
+
 Name RenamingService::acquire() {
   ThreadCtx& ctx = thread_ctx(options_.seed);
-  auto& per = ctx.for_service(id_, ctx.slot & shard_mask_, options_.name_cache_capacity);
+  auto& per = ctx.for_service(id_, ctx.slot & (group_.shards() - 1),
+                              options_.name_cache_capacity);
   if (per.counter == nullptr) {
     per.counter = &live_.register_thread();
     per.stripe = &ins_.registry->stripe();
@@ -450,94 +386,47 @@ Name RenamingService::acquire() {
   if (controller_ != nullptr && !controller_->admit(*per.stripe)) {
     return finish(kShed);
   }
-  std::uint32_t probes = 0;
-  std::uint32_t lost = 0;
-  std::uint32_t* const pprobes = timed ? &probes : nullptr;
-  std::uint32_t* const plost = timed ? &lost : nullptr;
-  const auto note_probes = [&] {
-    if (timed) {
-      per.stripe->record(ins_.probe_len, probes);
-      if (lost != 0) per.stripe->record(ins_.lost_races, lost);
-    }
-  };
-  const std::uint64_t S = shard_mask_ + 1;
-  // Fast path: the sticky shard; on pressure (late win) migrate ringward,
-  // on a full miss steal ringward, so loaded shards shed to neighbours.
-  for (std::uint64_t k = 0; k < S; ++k) {
-    const std::uint64_t si = (per.shard + k) & shard_mask_;
-    bool late = false;
-    const Name name = probe_shard(*shards_[si], si, ctx.rng, late, pprobes, plost);
-    if (name >= 0) {
-      if (k != 0) {
-        per.shard = static_cast<std::uint32_t>(si);
-        per.stripe->add(ins_.shard_migrations);
-        LOREN_TRACE("service.migrate", si);
-      } else if (late) {
-        per.shard = late_win_shard(ctx.rng, shard_mask_);
-        per.stripe->add(ins_.shard_migrations);
-        LOREN_TRACE("service.migrate", per.shard);
-      }
-      RegisteredCounter::add(*per.counter, 1);
-      if (leases_ != nullptr) {
-        leases_->open(name, leases_->now(), per.hb, per.stripe);
-      }
-      note_probes();
-      return finish(name);
-    }
-  }
-  // Every schedule missed (probability 1/n^(beta-o(1)) per shard unless
-  // the namespace really is near-exhausted): deterministic sweep — a
-  // one-cell run-claim per shard, word-at-a-time (64 cells per
-  // snapshot) — so acquire() fails only when zero cells
-  // are free, or fails fast with kSweepBudgetExhausted once the bounded
+  // The sticky shard first; on pressure (late win) migrate to a random
+  // shard, on a full miss steal ringward, so loaded shards shed to
+  // neighbours. If every schedule misses (probability 1/n^(beta-o(1)) per
+  // shard unless the namespace really is near-exhausted), the
+  // deterministic sweep backstops, so acquire() fails only when zero cells
+  // are free — or fails fast with kSweepBudgetExhausted once the bounded
   // retry budget (if configured) is spent.
-  const std::uint64_t sweep_cap =
-      options_.sweep_retry_budget == 0
-          ? S
-          : std::min<std::uint64_t>(S, options_.sweep_retry_budget);
-  for (std::uint64_t k = 0; k < sweep_cap; ++k) {
-    const std::uint64_t si = (per.shard + k) & shard_mask_;
-    LOREN_SIM_POINT("service.sweep");
-    per.stripe->add(ins_.sweeps);
-    LOREN_TRACE("service.sweep", si);
-    std::uint64_t u = 0;
-    if (shards_[si]->arena.try_claim_run(0, shard_stride_, 1, &u, plost) == 1) {
-      per.shard = static_cast<std::uint32_t>(si);
-      RegisteredCounter::add(*per.counter, 1);
-      const Name name = static_cast<Name>((u << shard_shift_) | si);
-      if (leases_ != nullptr) {
-        leases_->open(name, leases_->now(), per.hb, per.stripe);
-      }
-      note_probes();
-      return finish(name);
+  ShardGroup::ProbeStats stats;
+  std::int64_t local = group_.try_acquire(ctx.rng, &per.shard, stats);
+  if (local < 0) {
+    local =
+        group_.sweep_acquire(&per.shard, options_.sweep_retry_budget, stats);
+  }
+  note_walk(stats, per.shard, *per.stripe);
+  if (timed) {
+    per.stripe->record(ins_.probe_len, stats.probes);
+    if (stats.lost_races != 0) {
+      per.stripe->record(ins_.lost_races, stats.lost_races);
     }
   }
-  note_probes();
+  if (local >= 0) {
+    const Name name = static_cast<Name>(local);
+    RegisteredCounter::add(*per.counter, 1);
+    if (leases_ != nullptr) {
+      leases_->open(name, leases_->now(), per.hb, per.stripe);
+    }
+    return finish(name);
+  }
   if (controller_ != nullptr) controller_->note_saturation(*per.stripe);
-  if (sweep_cap < S) {
+  if (local == ShardGroup::kSweepBudgetTruncated) {
     per.stripe->add(ins_.sweep_budget_exhausted);
     return finish(kSweepBudgetExhausted);
   }
   return finish(kExhausted);
 }
 
-std::uint64_t RenamingService::claim_encoded(Shard& shard,
-                                             std::uint64_t shard_index,
-                                             std::uint64_t from,
-                                             std::uint64_t to, std::uint64_t k,
-                                             Name* out,
-                                             std::uint32_t* lost_races) {
-  return claim_encode_inplace(
-      [&](std::uint64_t* raw) {
-        return shard.arena.try_claim_run(from, to, k, raw, lost_races);
-      },
-      shard_shift_, shard_index, out);
-}
-
 std::uint64_t RenamingService::acquire_many(std::uint64_t k, Name* out) {
   if (k == 0) return 0;
   ThreadCtx& ctx = thread_ctx(options_.seed);
-  auto& per = ctx.for_service(id_, ctx.slot & shard_mask_, options_.name_cache_capacity);
+  auto& per = ctx.for_service(id_, ctx.slot & (group_.shards() - 1),
+                              options_.name_cache_capacity);
   if (per.counter == nullptr) {
     per.counter = &live_.register_thread();
     per.stripe = &ins_.registry->stripe();
@@ -584,27 +473,15 @@ std::uint64_t RenamingService::acquire_many(std::uint64_t k, Name* out) {
     // the shared namespace, whatever was asked.
     want = std::min<std::uint64_t>(want, controller_->batch_limit());
   }
-  std::uint32_t probes = 0;
-  std::uint32_t lost = 0;
-  std::uint32_t* const pprobes = ins_.detailed ? &probes : nullptr;
-  std::uint32_t* const plost = ins_.detailed ? &lost : nullptr;
-  // The shared seed-and-run-claim ring walk (renaming/batch_claim.h): a
-  // shortfall past its sweep backstop means fewer than k cells were free
-  // across the whole namespace when scanned — unless the bounded sweep
-  // budget truncated the scan, which is counted, not conflated.
+  // The seed-and-run-claim ring walk: a shortfall past its sweep
+  // backstop means fewer than k cells were free across the whole
+  // namespace when scanned — unless the bounded sweep budget truncated
+  // the scan, which is counted, not conflated.
   bool budget_hit = false;
-  BatchWalkStats walk;
-  const std::uint64_t shared_got = batch_claim_ring(
-      shard_mask_, shard_shift_, shard_stride_, &per.shard, ctx.rng, want,
-      out + got,
-      [&](std::uint64_t si, bool* late) {
-        return probe_shard(*shards_[si], si, ctx.rng, *late, pprobes, plost);
-      },
-      [&](std::uint64_t si, std::uint64_t from, std::uint64_t to,
-          std::uint64_t budget, Name* dst) {
-        return claim_encoded(*shards_[si], si, from, to, budget, dst, plost);
-      },
-      options_.sweep_retry_budget, &budget_hit, &walk);
+  ShardGroup::ProbeStats stats;
+  const std::uint64_t shared_got = group_.try_acquire_many(
+      ctx.rng, &per.shard, want, out + got, options_.sweep_retry_budget,
+      &budget_hit, stats);
   if (budget_hit) {
     per.stripe->add(ins_.sweep_budget_exhausted);
   }
@@ -617,14 +494,13 @@ std::uint64_t RenamingService::acquire_many(std::uint64_t k, Name* out) {
     }
     controller_->note_ops(*per.stripe, got + shared_got, per.op_tick);
   }
-  if (walk.sweep_shards > 0) {
-    per.stripe->add(ins_.sweeps, walk.sweep_shards);
-    LOREN_TRACE("service.sweep", walk.sweep_shards);
-  }
+  note_walk(stats, per.shard, *per.stripe);
   if (ins_.detailed) {
-    per.stripe->record(ins_.ring_walk, walk.ring_shards);
-    if (probes != 0) per.stripe->record(ins_.probe_len, probes);
-    if (lost != 0) per.stripe->record(ins_.lost_races, lost);
+    per.stripe->record(ins_.ring_walk, stats.ring_shards);
+    if (stats.probes != 0) per.stripe->record(ins_.probe_len, stats.probes);
+    if (stats.lost_races != 0) {
+      per.stripe->record(ins_.lost_races, stats.lost_races);
+    }
   }
   if (shared_got > 0) {
     RegisteredCounter::add(*per.counter, static_cast<std::int64_t>(shared_got));
@@ -653,7 +529,7 @@ std::uint64_t RenamingService::release_shared(
   std::uint64_t freed = 0;
   for (std::uint64_t i = 0; i < count; ++i) {
     const Name name = names[i];
-    if (name < 0 || static_cast<std::uint64_t>(name) >= capacity_) continue;
+    if (name < 0 || static_cast<std::uint64_t>(name) >= capacity()) continue;
     if (leases_ != nullptr && !leases_->close(name, hb, stripe) &&
         leases_->release_guard()) {
       // The reaper won the close: the cell was already reclaimed (and
@@ -661,9 +537,7 @@ std::uint64_t RenamingService::release_shared(
       // rejected here, never applied. The guard trip is counted.
       continue;
     }
-    const std::uint64_t si = static_cast<std::uint64_t>(name) & shard_mask_;
-    const std::uint64_t local = static_cast<std::uint64_t>(name) >> shard_shift_;
-    if (shards_[si]->arena.try_release(local)) ++freed;
+    if (group_.release_local(static_cast<std::uint64_t>(name))) ++freed;
   }
   if (freed > 0) {
     RegisteredCounter::add(counter, -static_cast<std::int64_t>(freed));
@@ -678,7 +552,8 @@ std::uint64_t RenamingService::release_many(const Name* names,
                                             std::uint64_t count) {
   if (count == 0) return 0;
   ThreadCtx& ctx = thread_ctx(options_.seed);
-  auto& per = ctx.for_service(id_, ctx.slot & shard_mask_, options_.name_cache_capacity);
+  auto& per = ctx.for_service(id_, ctx.slot & (group_.shards() - 1),
+                              options_.name_cache_capacity);
   if (per.counter == nullptr) {
     per.counter = &live_.register_thread();
     per.stripe = &ins_.registry->stripe();
@@ -701,13 +576,10 @@ std::uint64_t RenamingService::release_many(const Name* names,
   std::uint32_t n_shared = 0;
   for (std::uint64_t i = 0; i < count; ++i) {
     const Name name = names[i];
-    if (name < 0 || static_cast<std::uint64_t>(name) >= capacity_) continue;
+    if (name < 0 || static_cast<std::uint64_t>(name) >= capacity()) continue;
     if (st.contains(name)) continue;  // same-thread double release
     if (!st.full()) {
-      const std::uint64_t si = static_cast<std::uint64_t>(name) & shard_mask_;
-      const std::uint64_t local =
-          static_cast<std::uint64_t>(name) >> shard_shift_;
-      if (shards_[si]->arena.read(local) != 1) continue;  // not held
+      if (!group_.is_held(static_cast<std::uint64_t>(name))) continue;
       // Absorbing a name re-homes its lease onto this thread's heartbeat
       // (the original holder may exit; the stash must keep it alive). A
       // rebind the reaper already beat means the cell isn't ours to park.
@@ -735,11 +607,10 @@ std::uint64_t RenamingService::release_many(const Name* names,
 }
 
 bool RenamingService::release(Name name) {
-  if (name < 0 || static_cast<std::uint64_t>(name) >= capacity_) return false;
-  const std::uint64_t si = static_cast<std::uint64_t>(name) & shard_mask_;
-  const std::uint64_t local = static_cast<std::uint64_t>(name) >> shard_shift_;
+  if (name < 0 || static_cast<std::uint64_t>(name) >= capacity()) return false;
   ThreadCtx& ctx = thread_ctx(options_.seed);
-  auto& per = ctx.for_service(id_, ctx.slot & shard_mask_, options_.name_cache_capacity);
+  auto& per = ctx.for_service(id_, ctx.slot & (group_.shards() - 1),
+                              options_.name_cache_capacity);
   if (leases_ != nullptr) {
     if (per.counter == nullptr) {
       per.counter = &live_.register_thread();
@@ -769,7 +640,9 @@ bool RenamingService::release(Name name) {
     // acquisition. Contract-violating races (two threads releasing one
     // held name) are undetectable without the RMW — see release()'s
     // contract in service.h.
-    if (shards_[si]->arena.read(local) != 1) return finish(false);
+    if (!group_.is_held(static_cast<std::uint64_t>(name))) {
+      return finish(false);
+    }
     // Absorbing re-homes the lease onto this thread (see release_many).
     if (leases_ != nullptr &&
         !leases_->rebind(name, leases_->now(), per.hb) &&
@@ -792,7 +665,9 @@ bool RenamingService::release(Name name) {
     // reject the late release rather than free someone else's cell.
     return finish(false);
   }
-  if (!shards_[si]->arena.try_release(local)) return finish(false);
+  if (!group_.release_local(static_cast<std::uint64_t>(name))) {
+    return finish(false);
+  }
   if (per.counter == nullptr) {
     per.counter = &live_.register_thread();
     per.stripe = &ins_.registry->stripe();
@@ -805,7 +680,8 @@ bool RenamingService::release(Name name) {
 std::uint64_t RenamingService::flush_thread_cache() {
   if (!options_.name_cache) return 0;
   ThreadCtx& ctx = thread_ctx(options_.seed);
-  auto& per = ctx.for_service(id_, ctx.slot & shard_mask_, options_.name_cache_capacity);
+  auto& per = ctx.for_service(id_, ctx.slot & (group_.shards() - 1),
+                              options_.name_cache_capacity);
   NameStash& st = per.stash;
   cache_sync_gen(st);
   if (per.stripe == nullptr) per.stripe = &ins_.registry->stripe();
@@ -826,32 +702,34 @@ std::uint64_t RenamingService::flush_thread_cache() {
 
 std::uint32_t RenamingService::thread_cache_size() const {
   ThreadCtx& ctx = thread_ctx(options_.seed);
-  auto& per = ctx.for_service(id_, ctx.slot & shard_mask_, options_.name_cache_capacity);
+  auto& per = ctx.for_service(id_, ctx.slot & (group_.shards() - 1),
+                              options_.name_cache_capacity);
   cache_sync_gen(per.stash);
   return per.stash.size();
 }
 
 std::uint32_t RenamingService::thread_cache_capacity() const {
   ThreadCtx& ctx = thread_ctx(options_.seed);
-  auto& per = ctx.for_service(id_, ctx.slot & shard_mask_, options_.name_cache_capacity);
+  auto& per = ctx.for_service(id_, ctx.slot & (group_.shards() - 1),
+                              options_.name_cache_capacity);
   return per.stash.capacity();
 }
 
 void RenamingService::reset() {
-  for (auto& shard : shards_) shard->arena.reset();
+  group_.reset();
   live_.reset();
-  // Drop every lease without reclaiming — the epoch bumps above already
+  // Drop every lease without reclaiming — the epoch bump above already
   // freed every cell, so reclaim callbacks would double-free.
   if (leases_ != nullptr) leases_->clear();
   // Invalidate every thread's stash: contents are discarded (not spilled)
-  // on the owning thread's next call, because the epoch bumps above
+  // on the owning thread's next call, because the epoch bump above
   // already made the stashed cells winnable again.
   // sim:exempt(reset() requires external quiescence; nothing races it)
   cache_gen_.fetch_add(1, std::memory_order_relaxed);
 }
 
 std::uint64_t RenamingService::home_shard() const {
-  return thread_ctx(options_.seed).slot & shard_mask_;
+  return thread_ctx(options_.seed).slot & (group_.shards() - 1);
 }
 
 }  // namespace loren

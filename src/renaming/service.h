@@ -2,22 +2,23 @@
 //
 // The ConcurrentRenamer is one ReBatching object over one arena: every
 // thread probes the same B_0, and under churn all acquisitions funnel
-// through one probe geometry and one set of hot lines. The service splits
-// the namespace into S shards (a power of two), each an independent
-// word-packed BitmapArena (64 cells per word, one word per cache line in
-// the padded layout) with its own flattened ReBatching layout sized for
-// n/S holders. A thread probes a *sticky* shard — initially its home
-// shard, a cheap dense thread hash — so disjoint thread groups run on
-// disjoint memory, and S is chosen so a shard holds at most 512 cells
-// (eight words): under churn a thread's entire probe target is a few
-// cache lines, which a single (1+eps)n-cell arena can never be. Each
-// probe of the schedule claims any free cell of the word it lands in —
-// one load and one fetch_or, the paper's TAS object 64 cells at a time
-// (see tas/bitmap_arena.h). When a shard runs hot (wins start arriving
-// late in the probe schedule) the thread migrates to a random shard; when
-// a schedule misses outright it steals from the neighbours; and after all
-// S schedules miss it falls back to a deterministic sweep of every cell,
-// so acquire() fails only when the whole namespace is exhausted.
+// through one probe geometry and one set of hot lines. The service instead
+// runs one ShardGroup (renaming/shard_group.h), built once and never
+// resized: S shards (a power of two) of one flattened ReBatching layout
+// sized for n/S holders, each shard a word-aligned window of a single
+// word-packed BitmapArena (64 cells per word, one word per cache line).
+// A thread probes a *sticky* shard — initially its home shard, a cheap
+// dense thread hash — so disjoint thread groups run on disjoint memory,
+// and S is chosen so a shard holds at most 512 cells (eight words): under
+// churn a thread's entire probe target is a few cache lines, which a
+// single (1+eps)n-cell arena can never be. Each probe of the schedule
+// claims any free cell of the word it lands in — one load and one
+// fetch_or, the paper's TAS object 64 cells at a time (see
+// tas/bitmap_arena.h). When a shard runs hot (wins start arriving late in
+// the probe schedule) the thread migrates to a random shard; when a
+// schedule misses outright it steals from the neighbours; and after all S
+// schedules miss it falls back to a deterministic sweep of every cell, so
+// acquire() fails only when the whole namespace is exhausted.
 //
 // Names are interleaved across shards — name = local * S + shard — so
 // mapping a name back to its shard is a mask, not a division, and the
@@ -28,7 +29,7 @@
 //   * uniqueness — names are handed out by per-cell TAS, so a name is
 //     held by at most one caller at any time, globally across shards;
 //   * namespace — every name is < capacity() = S * (1+eps)ceil(n/S) + O(S)
-//     (each shard's layout rounds its batches independently);
+//     (the shard layout rounds its batches up);
 //   * per-acquisition step bounds — while a shard serves at most n/S
 //     concurrent holders, an acquisition that stays on its sticky shard
 //     performs log2 log2 (n/S) + O(1) probes w.h.p.; migration/stealing
@@ -51,53 +52,18 @@
 
 #include <cstdint>
 #include <memory>
-#include <vector>
 
 #include "control/adaptive_controller.h"
 #include "lease/lease_table.h"
-#include "platform/rng.h"
 #include "platform/registered_counter.h"
 #include "renaming/acquire_result.h"
 #include "renaming/batch_layout.h"
-#include "renaming/probe_schedule.h"
+#include "renaming/shard_group.h"
 #include "renaming/thread_ctx.h"
 #include "sim/env.h"
-#include "tas/bitmap_arena.h"
 #include "telemetry/metrics.h"
 
 namespace loren {
-
-/// Cell cap of an auto-sized shard: 512 cells is eight 64-cell words.
-inline constexpr std::uint64_t kMaxShardCells = 512;
-
-/// The auto-sharding heuristic shared by RenamingService and the elastic
-/// shard groups: the smallest power-of-two shard count such that (a)
-/// hardware threads get distinct home shards and (b) a shard's layout
-/// has at most kMaxShardCells (512) cells, clamped so every shard still
-/// serves >= 64 holders (tiny shards overflow constantly and every
-/// acquisition degenerates to stealing). The shard count fixes each
-/// shard's holder count, and with it the per-acquisition step counts and
-/// the namespace size, so the policy is pinned by tests.
-///
-/// `hw_threads` is the hardware thread count to shard for; 0 means
-/// "unknown" (std::thread::hardware_concurrency() is allowed to return 0)
-/// and is treated as 1 — left unclamped it would silently disable the
-/// distinct-home-shards growth condition. Injectable so the policy is
-/// unit-testable without faking the host's topology.
-std::uint64_t auto_shard_count(std::uint64_t n, const BatchLayoutParams& params,
-                               std::uint32_t hw_threads);
-/// Convenience overload: shard for this host (hardware_concurrency()).
-std::uint64_t auto_shard_count(std::uint64_t n, const BatchLayoutParams& params);
-
-/// Resolves a requested shard count: 0 = auto_shard_count, otherwise
-/// rounded up to a power of two and clamped so a shard never serves less
-/// than one holder. One policy for RenamingService and the elastic groups.
-/// The three-argument form uses this host's hardware_concurrency().
-std::uint64_t shard_count_for(std::uint64_t n, std::uint64_t requested,
-                              const BatchLayoutParams& params);
-std::uint64_t shard_count_for(std::uint64_t n, std::uint64_t requested,
-                              const BatchLayoutParams& params,
-                              std::uint32_t hw_threads);
 
 struct RenamingServiceOptions {
   double epsilon = 0.5;
@@ -106,9 +72,6 @@ struct RenamingServiceOptions {
   /// shard has at most kMaxShardCells cells, clamped so every shard still
   /// serves >= 64 holders.
   std::uint64_t shards = 0;
-  /// Layout of the shard BitmapArenas' word slots (kPadded: one 64-cell
-  /// word per cache line; kPacked: four words per line).
-  ArenaLayout arena_layout = ArenaLayout::kPadded;
   std::uint64_t seed = 0x53ED;
   BatchLayoutParams layout_extra{};
   /// Thread-local name cache: each thread keeps a bounded stash of names
@@ -227,7 +190,7 @@ class RenamingService {
   /// transiently come up short even though k cells were free at every
   /// instant (cells freed behind the scan cursor are not revisited) —
   /// callers that must have all k retry the remainder. One sticky-shard
-  /// ring walk (renaming/batch_claim.h): per visited shard a single
+  /// ring walk (ShardGroup::try_acquire_many): per visited shard a single
   /// probe-schedule walk seeds a linear run-claim
   /// (BitmapArena::try_claim_run), the deterministic sweep backstops, and
   /// the live counter gets one add of +got — so a batch of k costs one
@@ -286,7 +249,7 @@ class RenamingService {
   /// introspection, never needed on the hot path.
   [[nodiscard]] lease::LeaseTable* lease_table() const { return leases_.get(); }
 
-  /// O(S) full reset: epoch-bumps every shard arena, zeroes the live
+  /// O(1) full reset: epoch-bumps the shard group's arena, zeroes the live
   /// counter, and invalidates every thread's stash (their contents are
   /// discarded on the owning thread's next call — the epoch bump already
   /// freed the cells). Not safe concurrently with acquire/release —
@@ -296,10 +259,13 @@ class RenamingService {
   /// Geometry accessors: fixed at construction, safe from any thread.
   /// Every issued name is < capacity(); each shard is laid out for
   /// shard_holders() concurrent holders.
-  [[nodiscard]] std::uint64_t capacity() const { return capacity_; }
-  [[nodiscard]] std::uint64_t num_shards() const { return shards_.size(); }
-  [[nodiscard]] std::uint64_t shard_holders() const { return shard_n_; }
-  [[nodiscard]] ArenaLayout arena_layout() const { return options_.arena_layout; }
+  [[nodiscard]] std::uint64_t capacity() const {
+    return group_.local_capacity();
+  }
+  [[nodiscard]] std::uint64_t num_shards() const { return group_.shards(); }
+  [[nodiscard]] std::uint64_t shard_holders() const {
+    return group_.shard_layout().n();
+  }
   /// Approximate while calls are in flight, exact at quiescence (after
   /// the workers have been joined or otherwise synchronized). Names
   /// parked in thread stashes count as live — they are unavailable to
@@ -351,24 +317,6 @@ class RenamingService {
   [[nodiscard]] std::uint64_t home_shard() const;
 
  private:
-  struct Shard {
-    Shard(std::uint64_t holders, const BatchLayoutParams& params,
-          ArenaLayout arena_layout)
-        : layout(holders, params),
-          schedule(layout),
-          arena(layout.total(), arena_layout) {}
-
-    BatchLayout layout;
-    FlatProbeSchedule schedule;
-    BitmapArena arena;
-  };
-
-  /// Wins arriving at or past this probe position mean the shard is
-  /// running hot (expected position under the analysis' load is O(1)),
-  /// and the caller's sticky hint migrates to a random shard
-  /// (late_win_shard, renaming/batch_claim.h).
-  static constexpr std::ptrdiff_t kMigrateThreshold = 8;
-
   /// Detailed-mode sampling: every (mask+1)-th acquire/release on a
   /// thread is the observed sample — timestamped, probe counts
   /// accumulated and recorded. 1-in-256 keeps the histograms
@@ -401,22 +349,11 @@ class RenamingService {
     telemetry::MetricId ring_walk = 0;
   };
 
-  /// Walk one shard's flattened probe schedule. Returns the interleaved
-  /// global name, or -1 on a full miss; sets `late` when the win arrived
-  /// at or past kMigrateThreshold. `probes` (optional) accumulates the
-  /// schedule slots walked (win position + 1, or the full schedule on a
-  /// miss); `lost_races` forwards the substrate's observable-loss count.
-  sim::Name probe_shard(Shard& shard, std::uint64_t shard_index,
-                        Xoshiro256& rng, bool& late,
-                        std::uint32_t* probes = nullptr,
-                        std::uint32_t* lost_races = nullptr);
-
-  /// Run-claim over `shard`'s cells [from, to), encoding wins as
-  /// interleaved global names directly into `out`. Returns the count.
-  std::uint64_t claim_encoded(Shard& shard, std::uint64_t shard_index,
-                              std::uint64_t from, std::uint64_t to,
-                              std::uint64_t k, sim::Name* out,
-                              std::uint32_t* lost_races = nullptr);
+  /// Records a probe walk's migrations and sweeps — counted in every
+  /// mode, unlike the sampled probe histograms. `shard` is the caller's
+  /// sticky hint after the walk (the migration trace payload).
+  void note_walk(const ShardGroup::ProbeStats& stats, std::uint32_t shard,
+                 telemetry::MetricsRegistry::ThreadStripe& stripe);
 
   /// The shared (arena + counter) release path, bypassing the stash: the
   /// try_release loop plus one add to `counter` (the caller's already-
@@ -479,15 +416,8 @@ class RenamingService {
   /// cached state — in particular a counter node pointing into a freed
   /// registry.
   std::uint64_t id_;
-  std::uint64_t shard_n_ = 0;       // holders each shard is laid out for
-  std::uint64_t shard_stride_ = 0;  // cells per shard (equal across shards)
-  std::uint64_t shard_mask_ = 0;    // num_shards - 1 (power of two)
-  std::uint32_t shard_shift_ = 0;   // log2(num_shards)
-  std::uint64_t capacity_ = 0;
-  /// unique_ptr per shard: Shard owns its BitmapArena (non-movable) and
-  /// each arena's word block is independently allocated, so shards never
-  /// share an allocation, a word, or (padded layout) a cache line.
-  std::vector<std::unique_ptr<Shard>> shards_;
+  /// The whole namespace: built once, never resized.
+  ShardGroup group_;
   RegisteredCounter live_;
   /// Stash-invalidation generation: reset() bumps it, and a stash tagged
   /// with an older value discards its contents on its owner's next call

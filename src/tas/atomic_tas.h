@@ -10,7 +10,7 @@
 // visible to any process that later observes the cell taken. seq_cst
 // would only add a single total order *across different cells*, which no
 // algorithm in this library relies on — each probe's control flow depends
-// only on that one cell's outcome. (See DESIGN.md, "Memory-order
+// only on that one cell's outcome. (See docs/protocols.md, "Memory-order
 // weakening".) Plain read/write stay seq_cst: they also serve the
 // read-write-register TAS protocols (rw_tas.*), whose proofs assume
 // sequentially consistent registers.

@@ -25,13 +25,13 @@
 // epoch increment; the first toucher of a stale word re-zeroes it lazily
 // under a tiny CAS-guarded protocol (see ensure_fresh below).
 //
-// Memory orders mirror the TasArena argument (DESIGN.md, "Memory-order
-// weakening"): the claiming fetch_or is acq_rel — per-word modification
-// order makes "at most one winner per (cell, epoch)" structural at any
-// ordering, and the release half publishes a winner's prior writes to
-// whoever later observes the bit set; loads are acquire; the arena epoch
-// is read relaxed on the hot path because reset() requires external
-// quiescence (the same contract as TasArena::reset()).
+// Memory orders mirror the TasArena argument (docs/protocols.md,
+// "Memory-order weakening"): the claiming fetch_or is acq_rel — per-word
+// modification order makes "at most one winner per (cell, epoch)"
+// structural at any ordering, and the release half publishes a winner's
+// prior writes to whoever later observes the bit set; loads are acquire;
+// the arena epoch is read relaxed on the hot path because reset()
+// requires external quiescence (the same contract as TasArena::reset()).
 //
 // The tradeoff vs TasArena is false sharing by construction: 64 (padded)
 // or 256 (packed) cells share a line, so concurrent wins on neighbouring
@@ -142,7 +142,7 @@ class BitmapArena {
   }
 
   /// The word-scan probe: claims any free cell of the word containing
-  /// `hint`, restricted to indices in [lo, hi) (the caller's shard/segment
+  /// `hint`, restricted to indices in [lo, hi) (the caller's shard
   /// window). Returns the claimed cell index, or -1 when the word has no
   /// free cell in range. The protocol is mask snapshot -> countr_zero ->
   /// one-bit fetch_or -> verify: losing the race on the chosen bit just

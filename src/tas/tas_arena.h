@@ -34,7 +34,8 @@
 //       No algorithm here branches on the relative order of two distinct
 //       cells' values, so that fence is pure cost (a full barrier per
 //       probe on arm64/power; stronger xchg semantics already paid on
-//       x86). See DESIGN.md, "Memory-order weakening", for the argument.
+//       x86). See docs/protocols.md, "Memory-order weakening", for the
+//       argument.
 //    Reads are acquire (pair with the release half of the winning RMW);
 //    the epoch counter is read relaxed on the hot path — it only changes
 //    in reset(), which requires external quiescence anyway (same contract

@@ -14,7 +14,6 @@
 
 #include "elastic/elastic_service.h"
 #include "renaming/service.h"
-#include "tas/arena_segment.h"
 #include "tas/bitmap_arena.h"
 #include "test_seed.h"
 
@@ -143,24 +142,6 @@ TEST_P(BitmapArenaLayouts, SweepWordSnapshotsOccupancy) {
 INSTANTIATE_TEST_SUITE_P(Layouts, BitmapArenaLayouts,
                          ::testing::Values(ArenaLayout::kPadded,
                                            ArenaLayout::kPacked));
-
-TEST(BitmapArenaSegment, WordProbeStaysInsideTheSegmentWindow) {
-  BitmapArena arena(256, ArenaLayout::kPacked);
-  // Two 100-cell shard windows that both straddle word boundaries.
-  ArenaSegment a(arena, 28, 100);
-  ArenaSegment b(arena, 128, 100);
-  for (int i = 0; i < 100; ++i) {
-    const std::int64_t cell = a.try_claim_word(static_cast<std::uint64_t>(i));
-    if (cell >= 0) {
-      EXPECT_LT(cell, 100);
-      EXPECT_EQ(b.read(static_cast<std::uint64_t>(cell)), 0u)
-          << "segment a claimed into segment b's window";
-    }
-  }
-  std::uint64_t out[100];
-  EXPECT_EQ(b.try_claim_run(0, 100, 100, out), 100u);
-  for (std::uint64_t i = 0; i < 100; ++i) EXPECT_LT(out[i], 100u);
-}
 
 // Real-thread TAS safety on ONE word: every loss is a lost single-bit
 // race inside try_claim_in_word's fetch_or retry loop. At most one winner

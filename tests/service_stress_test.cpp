@@ -16,11 +16,9 @@
 namespace loren {
 namespace {
 
-RenamingServiceOptions sharded(std::uint64_t shards,
-                               ArenaLayout layout = ArenaLayout::kPadded) {
+RenamingServiceOptions sharded(std::uint64_t shards) {
   RenamingServiceOptions opts;
   opts.shards = shards;
-  opts.arena_layout = layout;
   return opts;
 }
 
@@ -94,9 +92,9 @@ TEST(RenamingService, EpochResetMakesStaleCellsWinnable) {
 // The core stress: T real threads churn acquire/release; every acquired
 // name is tagged in a shared owner table with compare-exchange, so any
 // uniqueness violation (two concurrent holders of one name) trips the CAS.
-void churn_stress(std::uint64_t n, std::uint64_t shards, ArenaLayout layout,
-                  int threads, int iters_per_thread) {
-  RenamingService service(n, sharded(shards, layout));
+void churn_stress(std::uint64_t n, std::uint64_t shards, int threads,
+                  int iters_per_thread) {
+  RenamingService service(n, sharded(shards));
   const std::uint64_t capacity = service.capacity();
   std::vector<std::atomic<int>> owner(capacity);
   for (auto& o : owner) o.store(-1);
@@ -164,19 +162,16 @@ void churn_stress(std::uint64_t n, std::uint64_t shards, ArenaLayout layout,
 // thread. What bounds exhaustion is capacity() = ~(1+eps)n, not n, so
 // with eps = 0.5 the n=768 runs give capacity >= 1152 >= 8 * 112 = 896
 // and the zero-exhaustion assertion is airtight.
-TEST(RenamingServiceStress, ChurnAcrossShardsPadded) {
-  churn_stress(/*n=*/768, /*shards=*/4, ArenaLayout::kPadded, /*threads=*/8,
-               /*iters=*/20000);
+TEST(RenamingServiceStress, ChurnAcrossFourShards) {
+  churn_stress(/*n=*/768, /*shards=*/4, /*threads=*/8, /*iters=*/20000);
 }
 
-TEST(RenamingServiceStress, ChurnAcrossShardsPacked) {
-  churn_stress(/*n=*/768, /*shards=*/8, ArenaLayout::kPacked, /*threads=*/8,
-               /*iters=*/20000);
+TEST(RenamingServiceStress, ChurnAcrossEightShards) {
+  churn_stress(/*n=*/768, /*shards=*/8, /*threads=*/8, /*iters=*/20000);
 }
 
 TEST(RenamingServiceStress, ChurnSingleShard) {
-  churn_stress(/*n=*/512, /*shards=*/1, ArenaLayout::kPadded, /*threads=*/4,
-               /*iters=*/20000);
+  churn_stress(/*n=*/512, /*shards=*/1, /*threads=*/4, /*iters=*/20000);
 }
 
 TEST(RenamingServiceStress, OverflowStealsFromNeighbours) {
@@ -269,10 +264,9 @@ TEST(RenamingService, AcquireManyMatchesSinglesSemantics) {
 // Batched variant of the churn stress: threads acquire in zipf-ish sized
 // batches and release in batches, with the same CAS-owner-table uniqueness
 // oracle. Runs under TSan in CI like the single-name churn.
-void batch_churn_stress(std::uint64_t n, std::uint64_t shards,
-                        ArenaLayout layout, int threads,
+void batch_churn_stress(std::uint64_t n, std::uint64_t shards, int threads,
                         int iters_per_thread) {
-  RenamingService service(n, sharded(shards, layout));
+  RenamingService service(n, sharded(shards));
   const std::uint64_t capacity = service.capacity();
   std::vector<std::atomic<int>> owner(capacity);
   for (auto& o : owner) o.store(-1);
@@ -351,14 +345,12 @@ void batch_churn_stress(std::uint64_t n, std::uint64_t shards,
   EXPECT_EQ(service.names_live(), 0u) << "live counter drifted";
 }
 
-TEST(RenamingServiceStress, BatchChurnAcrossShardsPadded) {
-  batch_churn_stress(/*n=*/768, /*shards=*/4, ArenaLayout::kPadded,
-                     /*threads=*/8, /*iters=*/8000);
+TEST(RenamingServiceStress, BatchChurnAcrossFourShards) {
+  batch_churn_stress(/*n=*/768, /*shards=*/4, /*threads=*/8, /*iters=*/8000);
 }
 
-TEST(RenamingServiceStress, BatchChurnAcrossShardsPacked) {
-  batch_churn_stress(/*n=*/768, /*shards=*/8, ArenaLayout::kPacked,
-                     /*threads=*/8, /*iters=*/8000);
+TEST(RenamingServiceStress, BatchChurnAcrossEightShards) {
+  batch_churn_stress(/*n=*/768, /*shards=*/8, /*threads=*/8, /*iters=*/8000);
 }
 
 TEST(RenamingService, AutoShardingPicksPowerOfTwo) {

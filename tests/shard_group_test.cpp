@@ -1,0 +1,302 @@
+// Tests for ShardGroup, the sharded namespace under both services: the
+// word-aligned shard windows of its one BitmapArena (every shard base a
+// multiple of 64 cells, dead tail bits past the stride never issued), the
+// probe / sweep / batched walks staying inside their own shard's window,
+// reset(), and the fixed service's capacity and shard count pinned for
+// explicit shard counts. Runs in the TSan CI set.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <atomic>
+#include <cstdint>
+#include <memory>
+#include <set>
+#include <thread>
+#include <vector>
+
+#include "platform/rng.h"
+#include "renaming/service.h"
+#include "renaming/shard_group.h"
+#include "tas/bitmap_arena.h"
+#include "test_seed.h"
+
+namespace loren {
+
+struct ShardGroupPeer {
+  static std::uint64_t base(const ShardGroup& g, std::uint64_t si) {
+    return g.base(si);
+  }
+};
+
+namespace {
+
+constexpr std::uint64_t kWord = BitmapArena::kBitsPerWord;
+
+/// A group of `shards` shards of `per_shard` holders each (eps = 0.5, the
+/// services' default).
+std::unique_ptr<ShardGroup> make_group(std::uint64_t per_shard,
+                                       std::uint64_t shards) {
+  BatchLayoutParams params;
+  params.epsilon = 0.5;
+  return std::make_unique<ShardGroup>(
+      /*tag=*/0, /*generation=*/1, per_shard * shards, shards,
+      std::make_shared<const CachedSchedule>(per_shard, params));
+}
+
+std::uint64_t stride_of(const ShardGroup& g) {
+  return g.shard_layout().total();
+}
+
+std::uint64_t shard_shift(const ShardGroup& g) {
+  std::uint32_t shift = 0;
+  for (std::uint64_t s = g.shards(); s > 1; s >>= 1) ++shift;
+  return shift;
+}
+
+/// Every issued name decodes to a cell inside its shard's [0, stride)
+/// window — never a dead tail bit, never past the namespace — and no name
+/// is issued twice.
+void expect_in_window(const ShardGroup& g,
+                      const std::vector<std::int64_t>& names) {
+  const std::uint64_t shift = shard_shift(g);
+  std::set<std::int64_t> seen;
+  for (const std::int64_t name : names) {
+    ASSERT_GE(name, 0);
+    ASSERT_LT(static_cast<std::uint64_t>(name), g.local_capacity());
+    EXPECT_LT(static_cast<std::uint64_t>(name) >> shift, stride_of(g))
+        << "dead tail bit issued: " << name;
+    EXPECT_TRUE(seen.insert(name).second) << "issued twice: " << name;
+    EXPECT_TRUE(g.is_held(static_cast<std::uint64_t>(name)));
+  }
+}
+
+// The window clamp the group relies on, on BitmapArena directly: two
+// 100-cell windows that both straddle word boundaries.
+TEST(BitmapArenaWindow, WordProbeAndRunClaimStayInsideTheWindow) {
+  BitmapArena arena(256, ArenaLayout::kPacked);
+  for (std::uint64_t i = 0; i < 100; ++i) {
+    const std::int64_t cell = arena.try_claim_in_word(28 + i, 28, 128);
+    if (cell >= 0) {
+      EXPECT_GE(cell, 28);
+      EXPECT_LT(cell, 128);
+    }
+  }
+  // The [128, 228) window is untouched by the probes above: a run-claim
+  // takes all 100 of its cells, and only those.
+  std::uint64_t out[128];
+  EXPECT_EQ(arena.try_claim_run(128, 228, 128, out), 100u);
+  for (std::uint64_t i = 0; i < 100; ++i) {
+    EXPECT_GE(out[i], 128u);
+    EXPECT_LT(out[i], 228u);
+  }
+  // Word probes on the words the windows share with their neighbours'
+  // cells never step outside [lo, hi).
+  EXPECT_EQ(arena.try_claim_in_word(255, 228, 256), 228);
+  EXPECT_EQ(arena.try_claim_in_word(0, 0, 28), 0);
+}
+
+TEST(ShardGroupWindows, EveryShardBaseIsWordAligned) {
+  for (const std::uint64_t per_shard : {1u, 64u, 96u, 200u, 256u}) {
+    const auto g = make_group(per_shard, 8);
+    const std::uint64_t stride = stride_of(*g);
+    const std::uint64_t window = (stride + kWord - 1) / kWord * kWord;
+    for (std::uint64_t si = 0; si < g->shards(); ++si) {
+      EXPECT_EQ(ShardGroupPeer::base(*g, si) % kWord, 0u)
+          << "per_shard " << per_shard << " shard " << si;
+      EXPECT_EQ(ShardGroupPeer::base(*g, si), si * window);
+    }
+    // Windows never share a word, and the namespace is still exactly
+    // S * stride (the padding is dead cells, never names).
+    EXPECT_EQ(g->local_capacity(), stride * g->shards());
+    EXPECT_EQ(g->footprint_bytes(),
+              g->shards() * (window / kWord) * BitmapArena::kCacheLine);
+  }
+}
+
+TEST(ShardGroupWindows, SchedulesFillExactlyTheNamespace) {
+  const auto g = make_group(64, 4);
+  ASSERT_NE(stride_of(*g) % kWord, 0u) << "want dead tail bits to exist";
+  Xoshiro256 rng(
+      test::stress_seed("SchedulesFillExactlyTheNamespace", 0x5EED));
+  std::vector<std::int64_t> names;
+  std::uint32_t sticky = 0;
+  ShardGroup::ProbeStats stats;
+  // Probe until every schedule misses, then let the sweep take the rest.
+  for (std::int64_t n = g->try_acquire(rng, &sticky, stats); n >= 0;
+       n = g->try_acquire(rng, &sticky, stats)) {
+    names.push_back(n);
+  }
+  for (std::int64_t n = g->sweep_acquire(&sticky, 0, stats); n >= 0;
+       n = g->sweep_acquire(&sticky, 0, stats)) {
+    names.push_back(n);
+  }
+  EXPECT_EQ(names.size(), g->local_capacity());
+  expect_in_window(*g, names);
+  EXPECT_GT(stats.probes, 0u);
+  EXPECT_GT(stats.sweep_shards, 0u);
+}
+
+TEST(ShardGroupWindows, SweepOfOneShardNeverReachesItsNeighbour) {
+  const auto g = make_group(96, 4);
+  const std::uint64_t stride = stride_of(*g);
+  const std::uint64_t mask = g->shards() - 1;
+  for (std::uint32_t si = 0; si < g->shards(); ++si) {
+    // A one-shard sweep budget confines the backstop to shard si.
+    std::vector<std::int64_t> names;
+    ShardGroup::ProbeStats stats;
+    std::uint32_t sticky = si;
+    std::int64_t n = 0;
+    while ((n = g->sweep_acquire(&sticky, 1, stats)) >= 0) {
+      EXPECT_EQ(static_cast<std::uint64_t>(n) & mask, si);
+      names.push_back(n);
+    }
+    EXPECT_EQ(n, ShardGroup::kSweepBudgetTruncated);
+    // Exactly stride cells per shard: a window bleeding into a neighbour
+    // would issue more here, or leave the neighbour fewer next round.
+    EXPECT_EQ(names.size(), stride) << "shard " << si;
+    expect_in_window(*g, names);
+  }
+  std::uint32_t sticky = 0;
+  ShardGroup::ProbeStats stats;
+  EXPECT_EQ(g->sweep_acquire(&sticky, 0, stats), -1);
+}
+
+TEST(ShardGroupWindows, BatchedWalkFillsExactlyTheNamespace) {
+  const auto g = make_group(64, 8);
+  Xoshiro256 rng(test::stress_seed("BatchedWalkFillsExactlyTheNamespace", 7));
+  std::vector<std::int64_t> names(g->local_capacity() + 16);
+  std::uint64_t got = 0;
+  std::uint32_t sticky = 3;
+  ShardGroup::ProbeStats stats;
+  // Odd batch sizes so runs end mid-word and seeds land anywhere.
+  while (got < names.size()) {
+    const std::uint64_t k = std::min<std::uint64_t>(37, names.size() - got);
+    const std::uint64_t round =
+        g->try_acquire_many(rng, &sticky, k, names.data() + got, 0, nullptr,
+                            stats);
+    got += round;
+    if (round < k) break;  // the sweep backstop found nothing more
+  }
+  names.resize(got);
+  EXPECT_EQ(got, g->local_capacity());
+  expect_in_window(*g, names);
+  EXPECT_GT(stats.ring_shards, 0u);
+  EXPECT_GT(stats.sweep_shards, 0u) << "the last batch needs the sweep";
+}
+
+TEST(ShardGroupWindows, BudgetTruncatedBatchIsFlagged) {
+  const auto g = make_group(64, 4);
+  const std::uint64_t stride = stride_of(*g);
+  Xoshiro256 rng(11);
+  // Fill shards 1..3 through their one-shard sweeps, leaving shard 0.
+  for (std::uint32_t si = 1; si < g->shards(); ++si) {
+    std::uint32_t sticky = si;
+    ShardGroup::ProbeStats stats;
+    while (g->sweep_acquire(&sticky, 1, stats) >= 0) {
+    }
+  }
+  // Shard 0 alone serves the batch; the overflow is a truncated sweep.
+  std::vector<std::int64_t> out(stride + 10);
+  std::uint32_t sticky = 0;
+  bool hit = false;
+  ShardGroup::ProbeStats stats;
+  const std::uint64_t got = g->try_acquire_many(
+      rng, &sticky, out.size(), out.data(), /*sweep_budget=*/1, &hit, stats);
+  out.resize(got);
+  EXPECT_EQ(got, stride);
+  EXPECT_TRUE(hit);
+  expect_in_window(*g, out);
+}
+
+TEST(ShardGroupWindows, ReleaseAndResetFreeCells) {
+  const auto g = make_group(64, 2);
+  Xoshiro256 rng(3);
+  std::uint32_t sticky = 0;
+  ShardGroup::ProbeStats stats;
+  const std::int64_t a = g->try_acquire(rng, &sticky, stats);
+  ASSERT_GE(a, 0);
+  EXPECT_TRUE(g->release_local(static_cast<std::uint64_t>(a)));
+  EXPECT_FALSE(g->release_local(static_cast<std::uint64_t>(a)));
+  EXPECT_FALSE(g->release_local(g->local_capacity()));
+  EXPECT_FALSE(g->is_held(g->local_capacity()));
+
+  std::vector<std::int64_t> out(g->local_capacity());
+  EXPECT_EQ(g->try_acquire_many(rng, &sticky, out.size(), out.data(), 0,
+                                nullptr, stats),
+            g->local_capacity());
+  g->reset();
+  for (const std::int64_t n : out) {
+    EXPECT_FALSE(g->is_held(static_cast<std::uint64_t>(n)));
+  }
+  EXPECT_EQ(g->try_acquire_many(rng, &sticky, out.size(), out.data(), 0,
+                                nullptr, stats),
+            g->local_capacity());
+}
+
+// Real threads racing single and batched claims over one group: every
+// cell is issued at most once and all of them are issued.
+TEST(ShardGroupThreads, ConcurrentClaimsIssueEachCellOnce) {
+  constexpr int kThreads = 4;
+  const auto g = make_group(64, 4);
+  const std::uint64_t base_seed =
+      test::stress_seed("ConcurrentClaimsIssueEachCellOnce", 0xC1A1);
+  std::vector<std::atomic<int>> owner(g->local_capacity());
+  for (auto& o : owner) o.store(-1);
+  std::atomic<std::uint64_t> violations{0};
+  std::atomic<std::uint64_t> total{0};
+  std::vector<std::thread> pool;
+  for (int t = 0; t < kThreads; ++t) {
+    pool.emplace_back([&, t] {
+      Xoshiro256 rng(mix_seed(base_seed, static_cast<std::uint64_t>(t)));
+      std::uint32_t sticky = static_cast<std::uint32_t>(t);
+      ShardGroup::ProbeStats stats;
+      std::int64_t batch[13];
+      while (true) {
+        std::uint64_t got = 0;
+        if ((t & 1) == 0) {
+          std::int64_t n = g->try_acquire(rng, &sticky, stats);
+          if (n < 0) n = g->sweep_acquire(&sticky, 0, stats);
+          if (n >= 0) batch[got++] = n;
+        } else {
+          got = g->try_acquire_many(rng, &sticky, 13, batch, 0, nullptr,
+                                    stats);
+        }
+        if (got == 0) break;
+        for (std::uint64_t i = 0; i < got; ++i) {
+          const auto n = static_cast<std::uint64_t>(batch[i]);
+          int expected = -1;
+          if (n >= owner.size() ||
+              !owner[n].compare_exchange_strong(expected, t)) {
+            violations.fetch_add(1);
+          }
+        }
+        total.fetch_add(got);
+      }
+    });
+  }
+  for (auto& th : pool) th.join();
+  EXPECT_EQ(violations.load(), 0u);
+  EXPECT_EQ(total.load(), g->local_capacity());
+}
+
+// The fixed service's namespace for explicit shard counts: one group of
+// word-aligned windows keeps the (cell << shift) | shard encoding, so
+// capacity() and num_shards() match the per-shard-arena layout it
+// replaced, value for value.
+TEST(RenamingServiceGeometry, CapacityPinnedForExplicitShardCounts) {
+  struct Case {
+    std::uint64_t n, shards, capacity;
+  };
+  for (const Case c : {Case{256, 4, 368}, Case{768, 8, 1104},
+                       Case{16384, 64, 23552},
+                       Case{std::uint64_t{1} << 20, 4096, 1507328}}) {
+    RenamingServiceOptions opts;
+    opts.shards = c.shards;
+    RenamingService service(c.n, opts);
+    EXPECT_EQ(service.num_shards(), c.shards) << "n=" << c.n;
+    EXPECT_EQ(service.capacity(), c.capacity) << "n=" << c.n;
+  }
+}
+
+}  // namespace
+}  // namespace loren
