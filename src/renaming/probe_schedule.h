@@ -6,9 +6,12 @@
 // four indexed loads per probe. The whole plan is static per layout —
 // batch i contributes probes(i) identical (offset, size) probes — so it
 // flattens into one contiguous array of log2 log2 n + O(1) slots that the
-// hot path walks linearly: one pointer increment and two loads per probe,
-// a single predictable branch, and the entire schedule for n = 2^20 fits
-// in three cache lines.
+// hot path walks linearly: one pointer increment and two loads per probe
+// and a single predictable branch. The array is not small: for n = 2^20
+// at eps = 0.5 it is 136 slots x 16 B, about 2 KiB, nearly all of it
+// B_0's t_0 = 129 copies of one slot. ConcurrentRenamer (the paper-model
+// path) walks it; the services' ShardGroup walks the per-batch plan in
+// schedule_cache.h instead.
 #pragma once
 
 #include <cstdint>

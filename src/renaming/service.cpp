@@ -23,12 +23,15 @@ using loren::RegisteredCounter;
 ///
 /// The sticky hint is what keeps a loaded home shard from becoming a tax:
 /// without it, a thread whose home shard has filled walks that shard's
-/// entire probe schedule (t_0 ~ 17 ln(8e/eps)/eps probes on B_0 alone)
-/// and fails it on *every* acquisition before stealing. The hint moves as
-/// soon as wins start arriving late in the schedule (the shard is running
-/// hot) or the schedule misses outright, so steady-state work goes
-/// straight to a shard with free cells; after a reset the hint is merely
-/// stale, never wrong, because any shard can serve any thread.
+/// probe schedule and fails it on *every* acquisition before stealing.
+/// The walk's full-word memo caps that miss at one probe per window word
+/// (eight at the 512-cell auto-shard cap) instead of t_0 ~
+/// 17 ln(8e/eps)/eps probes on B_0 alone, but it is still a miss on
+/// every acquire. The hint moves as soon as wins start arriving late in
+/// the schedule (the shard is running hot) or the schedule misses
+/// outright, so steady-state work goes straight to a shard with free
+/// cells; after a reset the hint is merely stale, never wrong, because
+/// any shard can serve any thread.
 struct PerService {
   std::uint32_t shard = 0;
   RegisteredCounter::Node* counter = nullptr;

@@ -4,8 +4,8 @@
 // thread probes the same B_0, and under churn all acquisitions funnel
 // through one probe geometry and one set of hot lines. The service instead
 // runs one ShardGroup (renaming/shard_group.h), built once and never
-// resized: S shards (a power of two) of one flattened ReBatching layout
-// sized for n/S holders, each shard a word-aligned window of a single
+// resized: S shards (a power of two) of one ReBatching layout sized for
+// n/S holders, each shard a word-aligned window of a single
 // word-packed BitmapArena (64 cells per word, one word per cache line).
 // A thread probes a *sticky* shard — initially its home shard, a cheap
 // dense thread hash — so disjoint thread groups run on disjoint memory,

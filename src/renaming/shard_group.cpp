@@ -80,25 +80,47 @@ ShardGroup::ShardGroup(std::uint32_t tag, std::uint64_t generation,
 
 std::int64_t ShardGroup::probe(std::uint64_t si, Xoshiro256& rng, bool* late,
                                ProbeStats& stats) {
+  static_assert(BitmapArena::kBitsPerWord == 64,
+                "the full-word memo is one bit per 64-cell word");
   const std::uint64_t lo = base(si);
   const std::uint64_t hi = lo + shard_stride_;
-  const FlatProbeSchedule::Slot* const first = schedule_->schedule.begin();
-  const FlatProbeSchedule::Slot* const last = schedule_->schedule.end();
   // Word-granular probe schedule: each slot's random draw nominates a
   // word, and the 64-way scan claims any free cell in it (clamped to this
   // shard's window). A probe fails only when its whole word is full, so a
   // schedule walk covers up to 64x the cells at the same probe budget.
-  for (const auto* slot = first; slot != last; ++slot) {
-    const std::uint64_t x = lo + slot->offset + rng.below(slot->size);
-    const std::int64_t cell =
-        arena_.try_claim_in_word(x, lo, hi, &stats.lost_races);
-    if (cell >= 0) {
-      *late = (slot - first) >= kMigrateThreshold;
-      stats.probes += static_cast<std::uint32_t>(slot - first) + 1;
-      return encode(si, static_cast<std::uint64_t>(cell) - lo);
+  //
+  // The full-word memo (docs/protocols.md, "Full-word memo"): `full` holds
+  // the window-relative words this walk has seen full (windows are
+  // word-aligned, so a draw's word is x / 64). A draw on a known-full word
+  // is skipped with no load, and once every word a batch spans is known
+  // full the rest of its budget is skipped without drawing. `pos` counts
+  // every slot, skipped or probed, so the migration rule is unchanged.
+  std::uint64_t full = 0;
+  std::uint64_t pos = 0;
+  std::uint32_t issued = 0;
+  for (const CachedSchedule::Batch& b : schedule_->batches) {
+    std::uint64_t left = b.budget;
+    while (left != 0 && (b.words == 0 || (b.words & ~full) != 0)) {
+      --left;
+      const std::uint64_t x = b.offset + rng.below(b.size);
+      const std::uint64_t w = x / BitmapArena::kBitsPerWord;
+      const std::uint64_t bit = w < 64 ? std::uint64_t{1} << w : 0;
+      if ((full & bit) == 0) {
+        ++issued;
+        const std::int64_t cell =
+            arena_.try_claim_in_word(lo + x, lo, hi, &stats.lost_races);
+        if (cell >= 0) {
+          stats.probes += issued;
+          *late = pos >= kMigrateThreshold;
+          return encode(si, static_cast<std::uint64_t>(cell) - lo);
+        }
+        full |= bit;
+      }
+      ++pos;
     }
+    pos += left;
   }
-  stats.probes += static_cast<std::uint32_t>(last - first);
+  stats.probes += issued;
   return -1;
 }
 

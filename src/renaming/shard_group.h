@@ -1,13 +1,14 @@
 // ShardGroup: the sharded namespace under both renaming services.
 //
 // A shard group is S shards (a power of two) of one ReBatching geometry —
-// a BatchLayout for holders/S concurrent holders, flattened once into a
-// FlatProbeSchedule that every shard shares — over a *single* word-packed
-// BitmapArena. RenamingService holds one group for its whole life; the
-// ElasticRenamingService publishes, retires and reclaims one group per
-// generation. One allocation per group, not one per shard, so a retired
-// generation is freed with one deallocation and a group's footprint
-// appears/disappears atomically from the service's accounting.
+// a BatchLayout for holders/S concurrent holders, planned once into a
+// per-batch probe plan (CachedSchedule) that every shard shares — over a
+// *single* word-packed BitmapArena. RenamingService holds one group for
+// its whole life; the ElasticRenamingService publishes, retires and
+// reclaims one group per generation. One allocation per group, not one
+// per shard, so a retired generation is freed with one deallocation and a
+// group's footprint appears/disappears atomically from the service's
+// accounting.
 //
 // Shard si owns the arena window [base(si), base(si) + stride), where
 // stride is the layout's cell count and base(si) = si * round_up(stride,
@@ -17,9 +18,10 @@
 // clamp in BitmapArena keeps unclaimable.
 //
 // The probing discipline: a thread probes its *sticky* shard with the
-// word-scan schedule; a late win (at or past kMigrateThreshold) moves the
-// hint to a random shard, a full miss steals ringward, and after every
-// schedule missed a deterministic sweep of every cell is the exhaustion
+// word-scan schedule, never re-probing a word the same walk already saw
+// full; a late win (at or past kMigrateThreshold) moves the hint to a
+// random shard, a full miss steals ringward, and after every schedule
+// missed a deterministic sweep of every cell is the exhaustion
 // backstop. Names are group-local — (cell << shard_shift) | shard, so
 // decoding is a shift and a mask and the namespace is exactly
 // S * stride — and the elastic service adds its group tag on top
@@ -88,11 +90,12 @@ class ShardGroup {
              std::shared_ptr<const CachedSchedule> schedule);
 
   /// Per-call accounting, accumulated across calls so one struct can span
-  /// a multi-round acquisition: schedule probes, observable lost races
-  /// (load-before-RMW paths only — a lost single-RMW test_and_set is
-  /// indistinguishable from "already taken"), how far the batched ring
-  /// walk and the backstop sweep went, and how often the sticky hint
-  /// moved (a late win or a steal).
+  /// a multi-round acquisition: word probes issued (shared-memory loads;
+  /// schedule slots skipped by the full-word memo are not counted),
+  /// observable lost races (load-before-RMW paths only — a lost
+  /// single-RMW test_and_set is indistinguishable from "already taken"),
+  /// how far the batched ring walk and the backstop sweep went, and how
+  /// often the sticky hint moved (a late win or a steal).
   struct ProbeStats {
     std::uint32_t probes = 0;
     std::uint32_t lost_races = 0;
@@ -202,9 +205,10 @@ class ShardGroup {
   /// Window-geometry access for tests/shard_group_test.cpp.
   friend struct ShardGroupPeer;
 
-  /// Wins arriving at or past this probe position mean the shard is
+  /// Wins arriving at or past this schedule position mean the shard is
   /// running hot (expected position under the analysis' load is O(1)).
-  static constexpr std::ptrdiff_t kMigrateThreshold = 8;
+  /// Positions count every slot, probed or skipped by the full-word memo.
+  static constexpr std::uint64_t kMigrateThreshold = 8;
 
   /// First arena cell of shard `si`'s window.
   [[nodiscard]] std::uint64_t base(std::uint64_t si) const {
@@ -228,7 +232,8 @@ class ShardGroup {
     return static_cast<std::uint32_t>(rng.next() & shard_mask_);
   }
 
-  /// Walk shard `si`'s probe schedule. Returns the group-local name, or
+  /// Walk shard `si`'s probe schedule, batch by batch, skipping slots on
+  /// words this walk already saw full. Returns the group-local name, or
   /// -1 on a full miss; sets `late` when the win arrived at or past
   /// kMigrateThreshold.
   std::int64_t probe(std::uint64_t si, Xoshiro256& rng, bool* late,

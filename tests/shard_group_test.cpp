@@ -2,8 +2,10 @@
 // word-aligned shard windows of its one BitmapArena (every shard base a
 // multiple of 64 cells, dead tail bits past the stride never issued), the
 // probe / sweep / batched walks staying inside their own shard's window,
-// reset(), and the fixed service's capacity and shard count pinned for
-// explicit shard counts. Runs in the TSan CI set.
+// the probe walk's full-word memo (per-batch word masks, skipped budgets,
+// lone free cells, windows wider than 64 words), reset(), and the fixed
+// service's capacity and shard count pinned for explicit shard counts.
+// Runs in the TSan CI set.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -231,6 +233,155 @@ TEST(ShardGroupWindows, ReleaseAndResetFreeCells) {
   EXPECT_EQ(g->try_acquire_many(rng, &sticky, out.size(), out.data(), 0,
                                 nullptr, stats),
             g->local_capacity());
+}
+
+/// Claims every cell of `g` through the backstop sweep.
+void fill(ShardGroup& g) {
+  std::uint32_t sticky = 0;
+  ShardGroup::ProbeStats stats;
+  while (g.sweep_acquire(&sticky, 0, stats) >= 0) {
+  }
+}
+
+/// try_acquire, then the sweep backstop when every schedule missed.
+std::int64_t acquire_or_sweep(ShardGroup& g, Xoshiro256& rng,
+                              std::uint32_t* sticky,
+                              ShardGroup::ProbeStats& stats) {
+  const std::int64_t n = g.try_acquire(rng, sticky, stats);
+  return n >= 0 ? n : g.sweep_acquire(sticky, 0, stats);
+}
+
+// The per-batch plan's word masks: bit w set iff the batch spans cells of
+// window word w, and 0 for a batch reaching past word 63.
+TEST(CachedSchedulePlan, WordMasksSpanEachBatch) {
+  BatchLayoutParams params;
+  params.epsilon = 0.5;
+  // 256 holders: B_0 = [0, 256), B_1 = [256, 320), B_2 = [320, 352),
+  // B_3 = [352, 368).
+  const CachedSchedule small(256, params);
+  ASSERT_EQ(small.batches.size(), 4u);
+  const std::uint64_t words[] = {0x0F, 0x10, 0x20, 0x20};
+  std::uint64_t slots = 0;
+  for (std::size_t i = 0; i < small.batches.size(); ++i) {
+    const auto& b = small.batches[i];
+    EXPECT_EQ(b.offset, small.layout.offset(i));
+    EXPECT_EQ(b.size, small.layout.size(i));
+    EXPECT_EQ(b.budget, static_cast<std::uint64_t>(small.layout.probes(i)));
+    EXPECT_EQ(b.words, words[i]) << "batch " << i;
+    slots += b.budget;
+  }
+  EXPECT_EQ(slots,
+            static_cast<std::uint64_t>(small.layout.max_probes_main_phase()));
+  // 4096 holders: B_0 is exactly words 0..63, every later batch lies past
+  // word 63 and is not memoized.
+  const CachedSchedule wide(4096, params);
+  EXPECT_EQ(wide.batches.front().words, ~std::uint64_t{0});
+  for (std::size_t i = 1; i < wide.batches.size(); ++i) {
+    EXPECT_EQ(wide.batches[i].words, 0u) << "batch " << i;
+  }
+}
+
+// A drained B_0 costs one probe per word, not t_0 probes: with words 0..4
+// full and one free cell in word 5, the walk probes each of B_0's four
+// words once, skips the rest of B_0's 129-slot budget, misses B_1's word
+// 4 and wins in B_2 — a win at schedule position >= 129, so still late
+// however few draws B_0 took to see its four words full. Repeated so that
+// some walks see them in as few as four or five draws.
+TEST(ShardGroupMemo, FullFirstBatchIsSkippedAfterOneProbePerWord) {
+  const auto g = make_group(256, 1);
+  ASSERT_EQ(stride_of(*g), 368u);
+  ASSERT_EQ(g->shard_layout().probes(0), 129);
+  fill(*g);
+  constexpr std::uint64_t kFree = 5 * kWord + 7;  // cell 327, in B_2
+  Xoshiro256 rng(test::stress_seed("FullFirstBatchIsSkipped", 0xB0));
+  std::uint32_t sticky = 0;
+  for (int trial = 0; trial < 64; ++trial) {
+    ASSERT_TRUE(g->release_local(kFree));
+    ShardGroup::ProbeStats stats;
+    ASSERT_EQ(g->try_acquire(rng, &sticky, stats),
+              static_cast<std::int64_t>(kFree));
+    EXPECT_EQ(stats.probes, 6u) << "four B_0 words, word 4, then word 5";
+    EXPECT_EQ(stats.migrations, 1u) << "the late-win rule counts slots";
+  }
+  // Everything is full: the walk misses after one probe per window word
+  // (B_3 shares word 5 with B_2 and is skipped whole).
+  ShardGroup::ProbeStats miss;
+  EXPECT_EQ(g->try_acquire(rng, &sticky, miss), -1);
+  EXPECT_EQ(miss.probes, 6u);
+  EXPECT_EQ(miss.migrations, 0u);
+}
+
+// For every cell of a small multi-shard group, with all the others held,
+// the walk plus its sweep backstop issue exactly that cell: the memo never
+// hides a free cell.
+TEST(ShardGroupMemo, LoneFreeCellIsAlwaysFound) {
+  const auto g = make_group(64, 4);
+  fill(*g);
+  Xoshiro256 rng(test::stress_seed("LoneFreeCellIsAlwaysFound", 0x1));
+  for (std::uint64_t name = 0; name < g->local_capacity(); ++name) {
+    ASSERT_TRUE(g->release_local(name));
+    std::uint32_t sticky =
+        static_cast<std::uint32_t>(rng.below(g->shards()));
+    ShardGroup::ProbeStats stats;
+    ASSERT_EQ(acquire_or_sweep(*g, rng, &sticky, stats),
+              static_cast<std::int64_t>(name));
+  }
+}
+
+// A window wider than 64 words (one explicit shard, 4096 holders: 94
+// words): words past 63 are never memoized, so every slot on them probes,
+// and a lone free cell there is still found.
+TEST(ShardGroupMemo, WideWindowWalksUnmemoizedWords) {
+  const auto g = make_group(4096, 1);
+  const BatchLayout& layout = g->shard_layout();
+  ASSERT_GT(stride_of(*g), 64 * kWord);
+  fill(*g);
+  Xoshiro256 rng(test::stress_seed("WideWindowWalksUnmemoizedWords", 0x40));
+  // All full: B_0 costs at most one probe per word, every later slot
+  // (all past word 63) costs one probe.
+  std::uint64_t late_slots = 0;
+  for (std::uint64_t i = 1; i < layout.num_batches(); ++i) {
+    late_slots += static_cast<std::uint64_t>(layout.probes(i));
+  }
+  std::uint32_t sticky = 0;
+  ShardGroup::ProbeStats miss;
+  EXPECT_EQ(g->try_acquire(rng, &sticky, miss), -1);
+  EXPECT_GE(miss.probes, late_slots + 1);
+  EXPECT_LE(miss.probes, late_slots + 64);
+  // A lone free cell in each batch past word 63, first and last cell.
+  for (std::uint64_t i = 1; i < layout.num_batches(); ++i) {
+    for (const std::uint64_t cell :
+         {layout.offset(i), layout.offset(i) + layout.size(i) - 1}) {
+      ASSERT_GE(cell / kWord, 64u);
+      ASSERT_TRUE(g->release_local(cell));
+      ShardGroup::ProbeStats stats;
+      EXPECT_EQ(acquire_or_sweep(*g, rng, &sticky, stats),
+                static_cast<std::int64_t>(cell));
+    }
+  }
+  // The last batch is two words, 92 and 93, with beta = 3 probes. A lone
+  // free cell in word 93 is won by the walk itself unless all three draws
+  // land on word 92: 7 times in 8. Were words past 63 memoized (aliased
+  // onto B_0's bits), most of those probes would be skipped.
+  const std::uint64_t last = layout.num_batches() - 1;
+  ASSERT_EQ(layout.probes(last), 3);
+  ASSERT_EQ(layout.size(last), 2 * kWord);
+  const std::uint64_t lone = layout.offset(last) + layout.size(last) - 1;
+  constexpr int kTrials = 200;
+  int walk_wins = 0;
+  for (int trial = 0; trial < kTrials; ++trial) {
+    ASSERT_TRUE(g->release_local(lone));
+    ShardGroup::ProbeStats stats;
+    const std::int64_t n = g->try_acquire(rng, &sticky, stats);
+    if (n >= 0) {
+      ASSERT_EQ(n, static_cast<std::int64_t>(lone));
+      ++walk_wins;
+    } else {
+      ASSERT_EQ(g->sweep_acquire(&sticky, 0, stats),
+                static_cast<std::int64_t>(lone));
+    }
+  }
+  EXPECT_GE(walk_wins, kTrials * 3 / 4) << "expected ~7/8 of " << kTrials;
 }
 
 // Real threads racing single and batched claims over one group: every
