@@ -14,9 +14,8 @@
 // perturbs the measurement the way the seed's reallocation did — and the
 // numbers reflect the loaded-but-not-exhausted regime.
 //
-// For the multithreaded scenario matrix (padded vs packed, sharded vs
-// single, churn shapes) see bench_throughput.cpp, which emits
-// BENCH_throughput.json.
+// The multithreaded service workloads live in perfbench/ (see
+// docs/benchmarks.md).
 #include <benchmark/benchmark.h>
 
 #include <memory>

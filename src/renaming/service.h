@@ -35,7 +35,8 @@
 //     performs log2 log2 (n/S) + O(1) probes w.h.p.; migration/stealing
 //     adds one schedule walk per visited shard.
 //
-// Hot-path engineering (measured in bench/bench_throughput.cpp):
+// Hot-path engineering (measured by perfbench/'s reuse-churn and
+// full-scatter workloads):
 //   * one thread_local context per call — cached Xoshiro256, thread slot,
 //     shard hints, and counter node behind a single TLS access; the
 //     per-call reseed-from-ticket of ConcurrentRenamer::get_name_direct

@@ -9,8 +9,7 @@
 //    stride) so concurrent probes on distinct names never share a line —
 //    the right choice for contended hot paths. kPacked keeps the 8-per-
 //    line density of the old array — 8x smaller, the right choice for
-//    huge namespaces or read-mostly workloads. The throughput harness
-//    (bench/bench_throughput.cpp) measures the tradeoff.
+//    huge namespaces or read-mostly workloads.
 //
 //  * Generation-stamped cells. A cell stores the epoch in which it was
 //    won (0 = never). A cell is "taken" iff its stamp equals the arena's

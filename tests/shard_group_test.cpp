@@ -3,14 +3,16 @@
 // multiple of 64 cells, dead tail bits past the stride never issued), the
 // probe / sweep / batched walks staying inside their own shard's window,
 // the probe walk's full-word memo (per-batch word masks, skipped budgets,
-// lone free cells, windows wider than 64 words), reset(), and the fixed
-// service's capacity and shard count pinned for explicit shard counts.
+// lone free cells, windows wider than 64 words), reset(), exact step
+// counts at fixed fills, and the fixed service's capacity and shard count
+// pinned for explicit shard counts.
 // Runs in the TSan CI set.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <cstdio>
 #include <memory>
 #include <set>
 #include <thread>
@@ -428,6 +430,83 @@ TEST(ShardGroupThreads, ConcurrentClaimsIssueEachCellOnce) {
   for (auto& th : pool) th.join();
   EXPECT_EQ(violations.load(), 0u);
   EXPECT_EQ(total.load(), g->local_capacity());
+}
+
+// Exact step counts on the live core: one thread, fixed seeds, 4 shards of
+// 1024 holders at three starting fills (empty, a scattered half, a
+// scattered 15/16). kStepAcquires names are then acquired and held, each
+// by try_acquire and, when every schedule missed, the sweep. That is one
+// sixteenth of the group's 4 x 1504 cells, so from 15/16 the run drains
+// the group to full: the walk meets full words, migrates, steals, and the
+// last acquisition needs the sweep. The ProbeStats totals and the most
+// word loads any one acquisition issued are pinned exactly: a change to
+// the probe walk, the full-word memo, the migration rule or the sweep
+// moves them. docs/benchmarks.md sets them per acquire next to
+// sim::simulate.
+constexpr std::uint64_t kStepShards = 4;
+constexpr std::uint64_t kStepHolders = 1024;
+constexpr int kStepAcquires = 376;
+
+struct StepCounts {
+  std::uint64_t probes = 0, lost_races = 0, migrations = 0, sweep_shards = 0;
+  std::uint64_t max_probes = 0;
+};
+
+/// Runs the step-count workload from `held_sixteenths` of the group's cells
+/// held: every cell claimed, then a uniform random sample released (a
+/// Fisher-Yates shuffle on the library's own generator, so the fill is the
+/// same on every platform).
+StepCounts step_counts(std::uint64_t held_sixteenths) {
+  const auto g = make_group(kStepHolders, kStepShards);
+  Xoshiro256 rng(0x57E9C0);
+  if (held_sixteenths > 0) {
+    fill(*g);
+    std::vector<std::uint64_t> cells(g->local_capacity());
+    for (std::uint64_t i = 0; i < cells.size(); ++i) cells[i] = i;
+    for (std::uint64_t i = cells.size() - 1; i > 0; --i) {
+      std::swap(cells[i], cells[rng.below(i + 1)]);
+    }
+    const std::uint64_t freed = cells.size() * (16 - held_sixteenths) / 16;
+    for (std::uint64_t i = 0; i < freed; ++i) g->release_local(cells[i]);
+  }
+  StepCounts c;
+  std::uint32_t sticky = 0;
+  for (int i = 0; i < kStepAcquires; ++i) {
+    ShardGroup::ProbeStats stats;
+    EXPECT_GE(acquire_or_sweep(*g, rng, &sticky, stats), 0);
+    c.probes += stats.probes;
+    c.lost_races += stats.lost_races;
+    c.migrations += stats.migrations;
+    c.sweep_shards += stats.sweep_shards;
+    c.max_probes = std::max<std::uint64_t>(c.max_probes, stats.probes);
+  }
+  std::printf("[ STEPS    ] held %2llu/16: probes %llu (max %llu) lost %llu "
+              "migrations %llu sweep shards %llu\n",
+              static_cast<unsigned long long>(held_sixteenths),
+              static_cast<unsigned long long>(c.probes),
+              static_cast<unsigned long long>(c.max_probes),
+              static_cast<unsigned long long>(c.lost_races),
+              static_cast<unsigned long long>(c.migrations),
+              static_cast<unsigned long long>(c.sweep_shards));
+  return c;
+}
+
+TEST(ShardGroupSteps, ExactCountsAtFixedFills) {
+  const auto g = make_group(kStepHolders, kStepShards);
+  ASSERT_EQ(stride_of(*g), 1504u);  // 24 words per shard window
+  struct Case {
+    std::uint64_t held_sixteenths, probes, max_probes, migrations,
+        sweep_shards;
+  };
+  for (const Case k : {Case{0, 376, 1, 0, 0}, Case{8, 383, 3, 0, 0},
+                       Case{15, 2803, 80, 120, 1}}) {
+    const StepCounts c = step_counts(k.held_sixteenths);
+    EXPECT_EQ(c.probes, k.probes) << k.held_sixteenths << "/16";
+    EXPECT_EQ(c.max_probes, k.max_probes) << k.held_sixteenths << "/16";
+    EXPECT_EQ(c.lost_races, 0u) << "one thread never loses a race";
+    EXPECT_EQ(c.migrations, k.migrations) << k.held_sixteenths << "/16";
+    EXPECT_EQ(c.sweep_shards, k.sweep_shards) << k.held_sixteenths << "/16";
+  }
 }
 
 // The fixed service's namespace for explicit shard counts: one group of
