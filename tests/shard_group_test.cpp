@@ -5,7 +5,8 @@
 // the probe walk's full-word memo (per-batch word masks, skipped budgets,
 // lone free cells, windows wider than 64 words), reset(), exact step
 // counts at fixed fills, and the fixed service's capacity and shard count
-// pinned for explicit shard counts.
+// pinned for explicit shard counts. ServiceSteps pins exact counts one
+// layer up, through both services' op pipelines.
 // Runs in the TSan CI set.
 #include <gtest/gtest.h>
 
@@ -15,9 +16,11 @@
 #include <cstdio>
 #include <memory>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "elastic/elastic_service.h"
 #include "platform/rng.h"
 #include "renaming/service.h"
 #include "renaming/shard_group.h"
@@ -507,6 +510,199 @@ TEST(ShardGroupSteps, ExactCountsAtFixedFills) {
     EXPECT_EQ(c.migrations, k.migrations) << k.held_sixteenths << "/16";
     EXPECT_EQ(c.sweep_shards, k.sweep_shards) << k.held_sixteenths << "/16";
   }
+}
+
+// Exact counts through the services: the same deterministic-step idea,
+// one layer up. One fresh thread pinned to slot 0 (so the home shard, the
+// per-thread generator and the stash identity depend on nothing but the
+// seed) with a registry attached fills a namespace to 15/16 with
+// acquire(), then churns kServiceRounds rounds of kServiceBatch random
+// releases plus one acquire_many(kServiceBatch). Pinned: a hash of every
+// issued name in issue order, the probe_len histogram's count and sum
+// (word loads of every 256th single acquire plus every batch that
+// reached the shared path), lost races, migrations, swept shards, the
+// batch ring-walk sum, names_live(), and for the elastic service its grow
+// count and generation. A change to either service's op pipeline that
+// moves a probe, a claim or a sample moves one of them.
+constexpr int kServiceRounds = 200;
+constexpr std::uint64_t kServiceBatch = 8;
+
+struct ServiceSteps {
+  std::uint64_t name_hash = 0;
+  std::uint64_t probe_count = 0, probe_sum = 0, lost_races = 0;
+  std::uint64_t migrations = 0, sweeps = 0, ring_walk = 0, live = 0;
+  std::uint64_t grows = 0, generation = 0;
+};
+
+/// What the churn does beyond fill-and-churn: fill past the live
+/// group's capacity (forcing an elastic auto-grow) and/or resize to
+/// double the holders before round kServiceRounds / 2.
+struct ServiceStepPlan {
+  std::uint64_t fill_sixteenths = 15;
+  bool resize_midway = false;
+};
+
+template <class Service>
+ServiceSteps service_steps(Service& svc, telemetry::MetricsRegistry& reg,
+                           const std::string& prefix,
+                           std::uint64_t local_capacity,
+                           const ServiceStepPlan& plan) {
+  ServiceSteps s;
+  s.name_hash = 0xcbf29ce484222325ull;  // FNV-1a over issued names
+  const auto issue = [&s](sim::Name name) {
+    ASSERT_GE(name, 0);
+    s.name_hash =
+        (s.name_hash ^ static_cast<std::uint64_t>(name)) * 0x100000001b3ull;
+  };
+  std::vector<sim::Name> held;
+  const std::uint64_t fill = local_capacity * plan.fill_sixteenths / 16;
+  for (std::uint64_t i = 0; i < fill; ++i) {
+    held.push_back(svc.acquire());
+    issue(held.back());
+  }
+  Xoshiro256 rng(0x5E12C5);
+  for (int round = 0; round < kServiceRounds; ++round) {
+    if constexpr (requires { svc.resize(0); }) {
+      if (plan.resize_midway && round == kServiceRounds / 2) {
+        EXPECT_TRUE(svc.resize(svc.holders() * 2));
+      }
+    }
+    for (std::uint64_t r = 0; r < kServiceBatch; ++r) {
+      const std::uint64_t i = rng.below(held.size());
+      EXPECT_TRUE(svc.release(held[i]));
+      held[i] = held.back();
+      held.pop_back();
+    }
+    sim::Name batch[kServiceBatch];
+    EXPECT_EQ(svc.acquire_many(kServiceBatch, batch), kServiceBatch);
+    for (const sim::Name name : batch) {
+      held.push_back(name);
+      issue(name);
+    }
+  }
+  const telemetry::MetricsSnapshot snap = reg.snapshot();
+  const auto* probe = snap.histogram(prefix + ".acquire.probe_len");
+  const auto* lost = snap.histogram(prefix + ".acquire.lost_races");
+  const auto* ring = snap.histogram(prefix + ".batch.ring_walk");
+  s.probe_count = probe != nullptr ? probe->count : 0;
+  s.probe_sum = probe != nullptr ? probe->sum : 0;
+  s.lost_races = lost != nullptr ? lost->sum : 0;
+  s.ring_walk = ring != nullptr ? ring->sum : 0;
+  s.migrations = reg.counter_value(reg.counter(prefix + ".shard.migrations"));
+  s.sweeps = reg.counter_value(reg.counter(prefix + ".sweep.invocations"));
+  s.live = svc.names_live();
+  if constexpr (requires { svc.grow_events(); }) {
+    s.grows = svc.grow_events();
+    s.generation = svc.generation();
+  }
+  std::printf("[ STEPS    ] %s: hash %016llx probe_len %llu/%llu lost %llu "
+              "migrations %llu sweeps %llu ring_walk %llu live %llu grows "
+              "%llu gen %llu\n",
+              prefix.c_str(), static_cast<unsigned long long>(s.name_hash),
+              static_cast<unsigned long long>(s.probe_count),
+              static_cast<unsigned long long>(s.probe_sum),
+              static_cast<unsigned long long>(s.lost_races),
+              static_cast<unsigned long long>(s.migrations),
+              static_cast<unsigned long long>(s.sweeps),
+              static_cast<unsigned long long>(s.ring_walk),
+              static_cast<unsigned long long>(s.live),
+              static_cast<unsigned long long>(s.grows),
+              static_cast<unsigned long long>(s.generation));
+  return s;
+}
+
+/// Runs `body` on a fresh thread pinned to dense slot 0.
+template <class Body>
+void on_fresh_slot0_thread(Body body) {
+  std::thread([&body] {
+    force_thread_slot(0);
+    body();
+  }).join();
+}
+
+ServiceSteps fixed_steps(bool cache) {
+  ServiceSteps s;
+  on_fresh_slot0_thread([&] {
+    telemetry::MetricsRegistry reg;
+    RenamingServiceOptions opts;
+    // What auto-sharding picks for n = 4096 on hosts of <= 16 threads,
+    // pinned so the counts do not depend on the host.
+    opts.shards = 16;
+    opts.name_cache = cache;
+    opts.telemetry.registry = &reg;
+    RenamingService svc(4096, opts);
+    s = service_steps(svc, reg, "service", svc.capacity(), {});
+  });
+  return s;
+}
+
+ServiceSteps elastic_steps(bool cache, bool auto_grow,
+                           const ServiceStepPlan& plan) {
+  ServiceSteps s;
+  on_fresh_slot0_thread([&] {
+    telemetry::MetricsRegistry reg;
+    ElasticOptions opts;
+    opts.shards = 16;
+    opts.name_cache = cache;
+    opts.auto_grow = auto_grow;
+    opts.telemetry.registry = &reg;
+    ElasticRenamingService svc(4096, opts);
+    s = service_steps(svc, reg, "elastic",
+                      svc.capacity() >> ElasticRenamingService::kTagBits, plan);
+  });
+  return s;
+}
+
+void expect_steps(const ServiceSteps& got, const ServiceSteps& want) {
+  EXPECT_EQ(got.name_hash, want.name_hash);
+  EXPECT_EQ(got.probe_count, want.probe_count);
+  EXPECT_EQ(got.probe_sum, want.probe_sum);
+  EXPECT_EQ(got.lost_races, want.lost_races);
+  EXPECT_EQ(got.migrations, want.migrations);
+  EXPECT_EQ(got.sweeps, want.sweeps);
+  EXPECT_EQ(got.ring_walk, want.ring_walk);
+  EXPECT_EQ(got.live, want.live);
+  EXPECT_EQ(got.grows, want.grows);
+  EXPECT_EQ(got.generation, want.generation);
+}
+
+TEST(ServiceSteps, FixedCacheOff) {
+  expect_steps(fixed_steps(false),
+               ServiceSteps{0x08d890806e7a7b49,
+                            222, 606, 0, 1528, 0, 259, 5520, 0, 0});
+}
+
+TEST(ServiceSteps, FixedCacheOn) {
+  expect_steps(fixed_steps(true),
+               ServiceSteps{0xd874804156435825,
+                            222, 666, 0, 1533, 0, 245, 5520, 0, 0});
+}
+
+TEST(ServiceSteps, ElasticCacheOff) {
+  expect_steps(elastic_steps(false, false, {}),
+               ServiceSteps{0x23906968871723dd,
+                            222, 680, 0, 1530, 0, 252, 5520, 0, 1});
+}
+
+TEST(ServiceSteps, ElasticCacheOn) {
+  expect_steps(elastic_steps(true, false, {}),
+               ServiceSteps{0x593818b73b3f3f95,
+                            222, 628, 0, 1504, 0, 223, 5520, 0, 1});
+}
+
+// Filling to 17/16 of the live group forces an auto-grow (the exhausted
+// sweep grows before failing); the explicit resize midway publishes a
+// third generation while the churn's names span the first two.
+TEST(ServiceSteps, ElasticAutoGrowAndResizeCacheOff) {
+  expect_steps(elastic_steps(false, true, {17, true}),
+               ServiceSteps{0xbd4de84d49153a65,
+                            225, 386, 0, 1805, 16, 200, 6256, 2, 3});
+}
+
+TEST(ServiceSteps, ElasticAutoGrowAndResizeCacheOn) {
+  expect_steps(elastic_steps(true, true, {17, true}),
+               ServiceSteps{0x5ae594f45101cff5,
+                            225, 386, 0, 1805, 16, 200, 6256, 2, 3});
 }
 
 // The fixed service's namespace for explicit shard counts: one group of
