@@ -1,12 +1,15 @@
-// Connection pool: non-adaptive loose renaming as a lock-free resource
-// allocator.
+// Connection pool: the fixed long-lived renaming service as a lock-free
+// resource allocator.
 //
-// A pool holds m = (1+eps)n connection slots for at most n concurrent
-// clients. A client claims a slot with ReBatching's batched random probing
-// (log log n + O(1) TAS operations w.h.p., even if a scheduling adversary
-// stalls and resumes clients arbitrarily), uses it, and releases it. This
-// is the classic "renaming ~ resource allocation" correspondence: a name
-// is a lease on slot #name.
+// A pool holds ~(1+eps)n connection slots for at most n concurrent
+// clients. A client claims a slot with RenamingService::acquire(), uses
+// it, and releases it. This is the classic "renaming ~ resource
+// allocation" correspondence: a name is a lease on slot #name. A claim is
+// a pop from the thread's own stash when the client just returned a slot,
+// else ReBatching's batched random probing on the thread's sticky shard
+// (log log n + O(1) word probes w.h.p.). The service checks every slot is
+// held by one client at a time, and that no slot outlives the clients:
+// an exiting thread's stashed slots are flushed back for it.
 //
 //   build/examples/connection_pool [clients] [requests-per-client]
 #include <atomic>
@@ -15,46 +18,7 @@
 #include <thread>
 #include <vector>
 
-#include "renaming/concurrent.h"
-
-namespace {
-
-class ConnectionPool {
- public:
-  explicit ConnectionPool(std::uint64_t max_clients)
-      : renamer_(max_clients, /*epsilon=*/0.5),
-        in_use_(renamer_.capacity()) {
-    for (auto& f : in_use_) f.store(0, std::memory_order_relaxed);
-  }
-
-  /// Claims a slot; -1 when the pool is exhausted (more than max_clients
-  /// concurrent claimants).
-  std::int64_t acquire() {
-    const std::int64_t slot = renamer_.get_name_direct();
-    if (slot >= 0) in_use_[static_cast<std::size_t>(slot)].store(1);
-    return slot;
-  }
-
-  /// Returns a slot to the pool: clears the TAS cell the name corresponds
-  /// to, so later ReBatching probes rediscover it (long-lived renaming).
-  void release(std::int64_t slot) {
-    in_use_[static_cast<std::size_t>(slot)].store(0);
-    renamer_.release(slot);
-  }
-
-  [[nodiscard]] std::uint64_t capacity() const { return renamer_.capacity(); }
-  [[nodiscard]] std::uint64_t busy() const {
-    std::uint64_t count = 0;
-    for (const auto& f : in_use_) count += f.load(std::memory_order_relaxed);
-    return count;
-  }
-
- private:
-  loren::ConcurrentRenamer renamer_;
-  std::vector<std::atomic<int>> in_use_;
-};
-
-}  // namespace
+#include "renaming/service.h"
 
 int main(int argc, char** argv) {
   const int clients = argc > 1 ? std::atoi(argv[1]) : 16;
@@ -64,19 +28,23 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  ConnectionPool pool(static_cast<std::uint64_t>(clients));
+  loren::RenamingService pool(static_cast<std::uint64_t>(clients));
   std::printf("pool: %llu slots for %d clients\n",
               static_cast<unsigned long long>(pool.capacity()), clients);
 
+  std::vector<std::atomic<int>> in_use(pool.capacity());
   std::atomic<std::uint64_t> served{0};
+  std::atomic<std::uint64_t> shared{0};  // a slot handed to two clients
   std::atomic<std::uint64_t> peak_slot{0};
   std::vector<std::thread> workers;
   workers.reserve(static_cast<std::size_t>(clients));
   for (int c = 0; c < clients; ++c) {
     workers.emplace_back([&] {
       for (int r = 0; r < requests; ++r) {
-        const std::int64_t slot = pool.acquire();
+        const loren::sim::Name slot = pool.acquire();
         if (slot < 0) continue;  // exhausted: drop the request in this demo
+        auto& flag = in_use[static_cast<std::size_t>(slot)];
+        if (flag.exchange(1) != 0) shared.fetch_add(1);
         // ... issue the query over connection #slot ...
         std::uint64_t prev = peak_slot.load(std::memory_order_relaxed);
         while (static_cast<std::uint64_t>(slot) > prev &&
@@ -84,6 +52,7 @@ int main(int argc, char** argv) {
                    prev, static_cast<std::uint64_t>(slot))) {
         }
         served.fetch_add(1, std::memory_order_relaxed);
+        flag.store(0);
         pool.release(slot);
       }
     });
@@ -91,9 +60,10 @@ int main(int argc, char** argv) {
   for (auto& w : workers) w.join();
 
   std::printf("served %llu requests; highest slot ever used: %llu; "
-              "slots still busy: %llu\n",
+              "slots shared by two clients: %llu; slots still held: %llu\n",
               static_cast<unsigned long long>(served.load()),
               static_cast<unsigned long long>(peak_slot.load()),
-              static_cast<unsigned long long>(pool.busy()));
-  return 0;
+              static_cast<unsigned long long>(shared.load()),
+              static_cast<unsigned long long>(pool.names_live()));
+  return shared.load() == 0 && pool.names_live() == 0 ? 0 : 1;
 }

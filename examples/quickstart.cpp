@@ -5,6 +5,11 @@
 //
 // Each thread performs log log T + O(1) shared-memory steps w.h.p. — the
 // headline result of Alistarh, Aspnes, Giakkoupis & Woelfel (PODC 2013).
+//
+// This example stays on ConcurrentRenamer, not the long-lived services:
+// it demonstrates the paper's one-shot algorithm itself (each thread
+// acquires one name, once). connection_pool and thread_registry show the
+// long-lived RenamingService and ElasticRenamingService.
 #include <cstdio>
 #include <cstdlib>
 #include <mutex>

@@ -4,15 +4,18 @@
 // Epoch-based memory reclamation, hazard pointers, and per-thread
 // statistics all need each thread to own a *small dense slot index* so
 // per-thread state can live in a flat array. Threads come and go, and the
-// population is unknown in advance — exactly adaptive loose renaming:
-// slot values stay O(k) for k concurrently registered threads.
+// population is unknown in advance, so the registry is an
+// ElasticRenamingService: it starts small, grows when more threads
+// register at once than it was laid out for, and a deregistered slot is
+// simply released — the service's stash and arena recycle it for later
+// threads, so the slot range follows the *high-water* concurrency, not
+// the total number of threads ever created.
 //
 //   build/examples/thread_registry [rounds] [threads]
 //
 // The demo runs several waves of worker threads. Each worker registers
-// (acquires a slot), bumps its per-slot counters in the flat array, and
-// deregisters. Slots are recycled across waves via a free list, so the
-// slot namespace stays small even as thread ids keep growing.
+// (acquires a slot), bumps its per-slot counter in the flat array, and
+// deregisters (releases the slot) before it exits.
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -20,51 +23,7 @@
 #include <thread>
 #include <vector>
 
-#include "renaming/concurrent.h"
-
-namespace {
-
-/// A registry mapping live threads to dense slots. Slot acquisition uses
-/// adaptive renaming (first registration) plus a lock-free recycle stack,
-/// so the slot range adapts to the *high-water* concurrency, not to the
-/// total number of threads ever created.
-class ThreadRegistry {
- public:
-  explicit ThreadRegistry(std::uint64_t max_threads)
-      : renamer_(max_threads), reusable_(max_threads + 64) {
-    for (auto& cell : reusable_) cell.store(-1, std::memory_order_relaxed);
-  }
-
-  std::int64_t register_thread() {
-    // Fast path: pop a recycled slot.
-    for (std::size_t i = 0; i < reusable_.size(); ++i) {
-      std::int64_t slot = reusable_[i].load(std::memory_order_acquire);
-      if (slot >= 0 && reusable_[i].compare_exchange_strong(
-                           slot, -1, std::memory_order_acq_rel)) {
-        return slot;
-      }
-    }
-    // Slow path: mint a fresh slot with adaptive renaming.
-    return renamer_.get_name();
-  }
-
-  void deregister_thread(std::int64_t slot) {
-    for (std::size_t i = 0; i < reusable_.size(); ++i) {
-      std::int64_t expected = -1;
-      if (reusable_[i].compare_exchange_strong(expected, slot,
-                                               std::memory_order_acq_rel)) {
-        return;
-      }
-    }
-    // Recycle pool full: the slot is simply retired (still unique).
-  }
-
- private:
-  loren::AdaptiveConcurrentRenamer renamer_;
-  std::vector<std::atomic<std::int64_t>> reusable_;
-};
-
-}  // namespace
+#include "elastic/elastic_service.h"
 
 int main(int argc, char** argv) {
   const int rounds = argc > 1 ? std::atoi(argv[1]) : 3;
@@ -74,39 +33,43 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  ThreadRegistry registry(1024);
+  // Laid out for 4 threads; the namespace grows if a wave exhausts it.
+  loren::ElasticRenamingService registry(4);
   constexpr int kCounterSlots = 4096;
   std::vector<std::atomic<std::uint64_t>> per_slot_ops(kCounterSlots);
 
-  std::int64_t high_water_slot = -1;
+  loren::sim::Name high_water_slot = -1;
+  bool failed = false;
   std::mutex io;
   for (int round = 0; round < rounds; ++round) {
     std::vector<std::thread> workers;
     workers.reserve(static_cast<std::size_t>(threads));
     for (int t = 0; t < threads; ++t) {
       workers.emplace_back([&, round, t] {
-        const std::int64_t slot = registry.register_thread();
-        // Dense slot => direct index into flat per-thread state.
-        for (int op = 0; op < 1000; ++op) {
-          per_slot_ops[static_cast<std::size_t>(slot) % kCounterSlots]
-              .fetch_add(1, std::memory_order_relaxed);
+        const loren::sim::Name slot = registry.acquire();
+        if (slot >= 0) {
+          // Dense slot => direct index into flat per-thread state.
+          for (int op = 0; op < 1000; ++op) {
+            per_slot_ops[static_cast<std::size_t>(slot) % kCounterSlots]
+                .fetch_add(1, std::memory_order_relaxed);
+          }
         }
-        {
-          std::scoped_lock lock(io);
-          std::printf("round %d worker %d -> slot %lld\n", round, t,
-                      static_cast<long long>(slot));
-          if (slot > high_water_slot) high_water_slot = slot;
-        }
-        registry.deregister_thread(slot);
+        std::scoped_lock lock(io);
+        std::printf("round %d worker %d -> slot %lld\n", round, t,
+                    static_cast<long long>(slot));
+        if (slot > high_water_slot) high_water_slot = slot;
+        failed = failed || slot < 0 || !registry.release(slot);
       });
     }
     for (auto& w : workers) w.join();
   }
 
-  std::printf(
-      "high-water slot index: %lld (threads launched in total: %d)\n",
-      static_cast<long long>(high_water_slot), rounds * threads);
-  std::printf("adaptive renaming kept slots O(max concurrency), so the\n"
-              "per-slot state array stays small regardless of thread churn\n");
-  return 0;
+  std::printf("high-water slot index: %lld (threads launched in total: %d; "
+              "registry laid out for %llu threads, generation %llu)\n",
+              static_cast<long long>(high_water_slot), rounds * threads,
+              static_cast<unsigned long long>(registry.holders()),
+              static_cast<unsigned long long>(registry.generation()));
+  std::printf("slots still registered after every worker exited: %llu\n",
+              static_cast<unsigned long long>(registry.names_live()));
+  return !failed && registry.names_live() == 0 ? 0 : 1;
 }

@@ -41,6 +41,24 @@
 // and documented rather than hidden (docs/protocols.md, "Grow, shrink,
 // and reclaim", discusses the tag-bit tradeoff).
 //
+// The op surface is ServiceCore's (renaming/service_core.h); this class
+// is its generation-swap namespace policy, which gives the shared ops
+// these elastic semantics:
+//   * acquire() never blocks on a concurrent resize, and fails (-1) only
+//     when the namespace is exhausted and cannot grow (auto_grow off,
+//     max_holders reached, or all kMaxGroups tags still draining);
+//   * release()/release_many() accept names from *any* generation,
+//     including groups retired since the acquisition; only live-
+//     generation names are ever stashed;
+//   * acquire_many() runs under one epoch pin per round (a pin never
+//     blocks a resize, it only delays reclamation by at most one batch —
+//     see docs/protocols.md, "Batched acquisition: the run-claim
+//     protocol"), counts one miss per batch, and a shortfall past the
+//     sweep backstop grows the namespace and claims the remainder from
+//     the new generation — so a batch may span generations;
+//   * a resize invalidates every stash: its names are flushed through
+//     the tag table on the owner's next call, so the retiree can drain.
+//
 // Concurrency contract: acquire/release/grow/shrink/resize/reclaim are
 // safe from any thread. Destruction requires external quiescence (no
 // calls in flight), the same contract as the other services' reset().
@@ -50,35 +68,26 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <vector>
 
-#include "control/adaptive_controller.h"
-#include "lease/lease_table.h"
 #include "platform/epoch.h"
 #include "platform/sim_point.h"
-#include "renaming/acquire_result.h"
-#include "renaming/batch_layout.h"
 #include "renaming/schedule_cache.h"
+#include "renaming/service_core.h"
 #include "renaming/shard_group.h"
-#include "renaming/thread_ctx.h"
 #include "sim/env.h"
 #include "telemetry/metrics.h"
 
 namespace loren {
 
-struct ElasticOptions {
-  double epsilon = 0.5;
+/// The shared fields are documented on ServiceOptions
+/// (renaming/service_core.h); these are the elastic ones.
+struct ElasticOptions : ServiceOptions {
+  ElasticOptions() { seed = 0xE1A5; }
   /// Smallest holder count shrink may reach. 0 = the initial holder count.
   std::uint64_t min_holders = 0;
   /// Largest holder count grow may reach.
   std::uint64_t max_holders = std::uint64_t{1} << 22;
-  /// Shards per group: 0 = auto per group size (the RenamingService
-  /// heuristic, so a small generation gets few shards and a large one
-  /// many).
-  std::uint64_t shards = 0;
-  std::uint64_t seed = 0xE1A5;
-  BatchLayoutParams layout_extra{};
   /// Grow automatically under sustained probe-schedule misses (and always
   /// on true exhaustion). Off = fixed capacity, explicit resize only.
   bool auto_grow = true;
@@ -93,28 +102,6 @@ struct ElasticOptions {
   /// to decide when (e.g. between traffic phases).
   bool auto_shrink = false;
   std::uint32_t shrink_low_threshold = 2;
-  /// Thread-local name cache: each thread keeps a bounded stash of
-  /// live-generation names it released, re-issued to that thread with no
-  /// epoch pin, no probes and no shared RMW. Stashes are tagged with the
-  /// resize generation: any grow/shrink invalidates them, and their
-  /// contents are flushed through the shared tag-table path on the owning
-  /// thread's next call, so retired generations still drain (a *parked*
-  /// thread's stash delays that drain until it calls again or
-  /// flush_thread_cache()s — see docs/protocols.md). Stashed names stay
-  /// counted by names_live() and keep their group's live counter up.
-  bool name_cache = true;
-  /// Initial per-thread stash capacity; per-thread hit-rate adaptation
-  /// moves it within [NameStash::kMinCapacity, NameStash::kMaxCapacity].
-  std::uint32_t name_cache_capacity = 16;
-  /// Bounded retry budget for the deterministic sweep backstop: at most
-  /// this many shards of the live group are swept per acquisition after
-  /// every probe schedule missed. 0 = unbounded (the historical full
-  /// walk). A budget-truncated sweep fails fast with
-  /// kSweepBudgetExhausted (-2) and counts in sweep_budget_exhausted();
-  /// it is deliberately NOT exhaustion evidence, so it neither feeds the
-  /// miss streak nor triggers a grow — a bounded scan giving up says
-  /// nothing about how full the namespace is.
-  std::uint32_t sweep_retry_budget = 0;
   /// Diagnostic hardening against *contract-violating* releases: stamp
   /// the issuing generation into bits [48, 63) of every name and reject a
   /// release whose stamp does not match the generation currently holding
@@ -125,37 +112,9 @@ struct ElasticOptions {
   /// value bits), so keep this off in production and on in tests/debug
   /// deployments. See docs/protocols.md, "The release contract".
   bool debug_release_guard = false;
-  /// Observability (telemetry/metrics.h). Attaching a registry switches
-  /// the service into *detailed* mode: per-op histograms (acquire/release
-  /// latency, probe lengths, lost races, ring-walk depth, quiescence
-  /// waits) record alongside the always-on event counters. With no
-  /// registry the service owns a private one, so the `elastic.*` event
-  /// counters and their accessors work either way at one relaxed add per
-  /// event, but the per-op histograms stay off.
-  telemetry::TelemetryOptions telemetry{};
-  /// Closed-loop control (control/adaptive_controller.h). With mode !=
-  /// kOff the service constructs an AdaptiveController: per-window
-  /// latency/arrival measurement, the acquire_many batch clamp, the
-  /// stash capacity bound, the grow/shrink hysteresis knob (the
-  /// controller's thresholds substitute for grow_miss_threshold /
-  /// shrink_low_threshold above, seeded from them), and — in kAdapt
-  /// mode — admission control: acquire fails fast with kShed once the
-  /// consecutive-failure streak reaches control.retry_budget, until a
-  /// release frees capacity. Implies detailed telemetry mode. See
-  /// docs/adaptive-control.md.
-  control::ControlOptions control{};
-  /// Crash-safe ownership (lease/lease_table.h): with lease.ttl_ticks !=
-  /// 0 every shared acquisition registers a lease, every op heartbeats
-  /// the holder's leases alive, and names abandoned by a crashed/parked/
-  /// exited holder are reaped back into their generation's group after
-  /// ttl + grace — after which a revived holder's late release is
-  /// rejected (kLeaseExpired / a guard trip), never applied to a
-  /// possibly-reissued cell. 0 (default) disables leasing: zero per-op
-  /// cost. See docs/leases.md.
-  lease::LeaseOptions lease{};
 };
 
-class ElasticRenamingService {
+class ElasticRenamingService : public ServiceCore<ElasticRenamingService> {
  public:
   /// Tag bits spent in every name; bounds the generations that can be
   /// in flight (live + draining) at once.
@@ -169,24 +128,6 @@ class ElasticRenamingService {
   static constexpr std::uint32_t kGenStampShift = 48;
   static constexpr std::uint64_t kGenStampMask = 0x7FFF;
 
-  /// acquire() failure codes. kExhausted: the namespace is full and
-  /// cannot grow. kSweepBudgetExhausted: the bounded sweep budget
-  /// (options.sweep_retry_budget) ran out first — capacity may remain;
-  /// the caller chose bounded latency over a full walk.
-  /// kShed: admission control rejected the call before any probe — the
-  /// controller's consecutive-failure streak hit its retry budget; a
-  /// successful release re-admits (control/adaptive_controller.h).
-  /// kLeaseExpired: a lease operation referred to a name whose lease the
-  /// reaper already expired. Defined from the shared loren::AcquireResult
-  /// enum (renaming/acquire_result.h), the single source of truth for
-  /// these values across both services.
-  static constexpr sim::Name kExhausted = to_name(AcquireResult::kExhausted);
-  static constexpr sim::Name kSweepBudgetExhausted =
-      to_name(AcquireResult::kSweepBudgetExhausted);
-  static constexpr sim::Name kShed = to_name(AcquireResult::kShed);
-  static constexpr sim::Name kLeaseExpired =
-      to_name(AcquireResult::kLeaseExpired);
-
   /// Publishes generation 1, laid out for `initial_holders` (clamped to
   /// [min_holders, max_holders]). Throws std::invalid_argument for
   /// initial_holders == 0 or min_holders > max_holders. Immediately
@@ -196,38 +137,6 @@ class ElasticRenamingService {
   /// Requires external quiescence (no calls in flight on any thread) —
   /// the same contract as the other services' reset().
   ~ElasticRenamingService();
-
-  ElasticRenamingService(const ElasticRenamingService&) = delete;
-  ElasticRenamingService& operator=(const ElasticRenamingService&) = delete;
-
-  /// Unique name in [0, capacity()), or -1 iff the namespace is exhausted
-  /// and cannot grow (auto_grow off, max_holders reached, or all
-  /// kMaxGroups tags still draining). Never blocks on a concurrent
-  /// resize.
-  sim::Name acquire();
-
-  /// Frees `name`. Valid for names from *any* generation, including
-  /// groups retired by grow/shrink since the acquisition. Returns false
-  /// (and changes nothing) for names not currently held.
-  bool release(sim::Name name);
-
-  /// Batched acquisition: claims up to `k` unique names into `out` and
-  /// returns the number acquired. One epoch pin covers the whole batch
-  /// (safe: a pin never blocks a resize, only delays reclamation by at
-  /// most one batch — see docs/protocols.md, "Batched acquisition: the
-  /// run-claim protocol"), miss accounting is per *batch* (a
-  /// batch the probe schedules could not fill is one pressure event, not
-  /// k), and a shortfall past the sweep backstop grows the namespace
-  /// immediately and claims the remainder from the new generation — so a
-  /// batch may span generations (each sub-batch carries its own tag) and
-  /// returns < k only when growth is unavailable (auto_grow off,
-  /// max_holders reached, or all tags draining).
-  std::uint64_t acquire_many(std::uint64_t k, sim::Name* out);
-
-  /// Frees `count` names (any mix of generations) under one epoch pin
-  /// with batched per-group live accounting. Returns how many were
-  /// actually freed; invalid or not-held entries are skipped.
-  std::uint64_t release_many(const sim::Name* names, std::uint64_t count);
 
   /// Publish a generation with double / half / exactly `holders` holders
   /// (clamped to [min_holders, max_holders]). False when the target equals
@@ -245,43 +154,6 @@ class ElasticRenamingService {
   /// whose names sit in some thread's stash — that thread must call into
   /// the service (or flush_thread_cache()) once after the resize first.
   std::size_t reclaim();
-
-  /// Releases every name in the calling thread's stash for this service
-  /// through the shared tag-table path (names from any generation route
-  /// to their own group) and folds the thread's pending cache statistics
-  /// into the aggregate. Returns the number flushed. Call when a thread
-  /// parks or before it exits — a dead thread's stash otherwise pins its
-  /// names' generations against draining for the service's lifetime.
-  std::uint64_t flush_thread_cache();
-
-  /// Explicitly renews the calling thread's lease on `name` (every op
-  /// already renews implicitly via the heartbeat — this is for holders
-  /// going quiet between ops). Returns `name`, or kLeaseExpired when the
-  /// lease is gone: the reaper reclaimed the cell and the caller must
-  /// treat the name as lost. Trivially `name` with leasing off.
-  sim::Name renew_lease(sim::Name name);
-
-  /// One full blocking reap pass: expires every stale lease and hands
-  /// the cells back to their generations' groups (which lets retired
-  /// generations finish draining). Returns cells reclaimed. The op paths
-  /// poll try_reap() on a sampled cadence already; this is the
-  /// deterministic variant for tests and shutdown drains. 0 when off.
-  std::size_t reap_expired();
-
-  /// Lease observability (all 0 / false with leasing off).
-  [[nodiscard]] bool leasing_enabled() const { return leases_ != nullptr; }
-  [[nodiscard]] std::uint64_t leases_live() const {
-    return leases_ != nullptr ? leases_->leases_live() : 0;
-  }
-  [[nodiscard]] std::uint64_t lease_expired() const {
-    return leases_ != nullptr ? leases_->expired() : 0;
-  }
-  /// Stale lease operations the guard rejected (late release/renew after
-  /// the reaper won) — detected, never silently applied.
-  [[nodiscard]] std::uint64_t lease_guard_trips() const {
-    return leases_ != nullptr ? leases_->guard_trips() : 0;
-  }
-  [[nodiscard]] lease::LeaseTable* lease_table() const { return leases_.get(); }
 
   /// Bound on newly issued names: local capacity of the live generation
   /// times 2^kTagBits. Names issued by earlier, larger generations may
@@ -307,54 +179,74 @@ class ElasticRenamingService {
   /// shrinking + reclamation drives back down.
   [[nodiscard]] std::uint64_t footprint_bytes() const;
 
-  /// Event-counter accessors: thin snapshot reads of the telemetry
-  /// registry (`elastic.*` counters — the one counting idiom), exact at
-  /// quiescence like every registry sum.
+  /// Resize event counters: snapshot reads of the `elastic.*` registry
+  /// counters, exact at quiescence.
   [[nodiscard]] std::uint64_t grow_events() const {
-    return ins_.registry->counter_value(ins_.grow_events);
+    return metrics_registry().counter_value(grow_events_);
   }
   [[nodiscard]] std::uint64_t shrink_events() const {
-    return ins_.registry->counter_value(ins_.shrink_events);
+    return metrics_registry().counter_value(shrink_events_);
   }
   [[nodiscard]] std::uint64_t reclaimed_groups() const {
-    return ins_.registry->counter_value(ins_.reclaimed_groups);
+    return metrics_registry().counter_value(reclaimed_groups_);
   }
-  /// Aggregate name-cache statistics (folded in window-at-a-time; they
-  /// lag by up to one adaptation window per thread until flushed).
-  [[nodiscard]] std::uint64_t cache_hits() const {
-    return ins_.registry->counter_value(ins_.cache_hits);
-  }
-  [[nodiscard]] std::uint64_t cache_misses() const {
-    return ins_.registry->counter_value(ins_.cache_misses);
-  }
-  /// Times the bounded sweep budget ran out (acquire returning
-  /// kSweepBudgetExhausted, or an acquire_many shortfall caused by the
-  /// budget). Always 0 when options.sweep_retry_budget is 0.
-  [[nodiscard]] std::uint64_t sweep_budget_exhausted() const {
-    return ins_.registry->counter_value(ins_.sweep_budget_exhausted);
-  }
-  /// The registry this service records into — the attached one in
-  /// detailed mode, else the internally owned fallback. Snapshot it for
-  /// the full `elastic.*` metric surface (docs/observability.md).
-  [[nodiscard]] telemetry::MetricsRegistry& metrics_registry() const {
-    return *ins_.registry;
-  }
-  /// Admissions rejected with kShed (exact: one per kShed returned).
-  /// Always 0 without a controller (options.control.mode == kOff).
-  [[nodiscard]] std::uint64_t shed_events() const {
-    return controller_ != nullptr ? controller_->shed_events() : 0;
-  }
-  /// The attached controller, or nullptr when control is off.
-  [[nodiscard]] control::AdaptiveController* controller() const {
-    return controller_.get();
-  }
-  /// The calling thread's stash occupancy / adaptive capacity for this
-  /// service (introspection and tests).
-  [[nodiscard]] std::uint32_t thread_cache_size() const;
-  [[nodiscard]] std::uint32_t thread_cache_capacity() const;
   [[nodiscard]] const ElasticOptions& options() const { return options_; }
 
  private:
+  // The namespace policy hooks (see renaming/service_core.h).
+  friend class ServiceCore<ElasticRenamingService>;
+  using ThreadNode = EpochDomain::Slot;
+  struct ThreadExtra {
+    /// The live group's tag when the stash was last retagged: only names
+    /// carrying it are stashed, so a stash never mixes generations.
+    std::uint32_t expected_tag = 0;
+    /// Release-path maintenance cadence.
+    std::uint32_t sample = 0;
+  };
+  static constexpr const char* kMetricPrefix = "elastic";
+  /// A stale stash's names are still held in a retired group: flush them
+  /// through the tag table so that group can drain.
+  static constexpr bool kStaleStashHeld = true;
+
+  ThreadNode& register_node() { return domain_.register_thread(); }
+  [[nodiscard]] std::uint64_t stash_generation() const {
+    return generation_.load(std::memory_order_acquire);
+  }
+  /// Re-pins the stash to the live tag. The tag and the generation are
+  /// read separately; a resize racing between the two loads only costs
+  /// one extra flush on the next call (the stale pairing fails the
+  /// generation check again and self-heals).
+  void retag_stash(PerThread& per) {
+    per.extra.expected_tag = live_tag_.load(std::memory_order_acquire);
+  }
+  [[nodiscard]] bool plausible(sim::Name name) const { return name >= 0; }
+  /// Only live-generation names are stashed: the tag must match the
+  /// stash's and the local index the live bound. A name from a retired-
+  /// but-draining generation takes the shared path, so retirees drain.
+  [[nodiscard]] bool stashable(const PerThread& per, sim::Name name) const;
+  EpochDomain::Guard pin(PerThread& per) {
+    return EpochDomain::Guard(domain_, *per.node);
+  }
+  /// Under pin(): the name's group is linked, its stamp matches, and the
+  /// cell is taken.
+  [[nodiscard]] bool is_held(sim::Name name) const;
+  sim::Name claim_one(PerThread& per, ShardGroup::ProbeStats& stats);
+  std::uint64_t claim_many(PerThread& per, std::uint64_t want, sim::Name* out,
+                           ShardGroup::ProbeStats& stats, bool* budget_hit);
+  std::uint64_t release_batch(const sim::Name* names, std::uint64_t count,
+                              PerThread& per);
+  /// reclaim_cell already took each reaped cell off its group's count.
+  void after_reap(PerThread& /*per*/, std::size_t /*reclaimed*/) {}
+  /// Sampled maintenance drives reclamation (and auto-shrink) forward
+  /// without a background thread and without taxing every release; a
+  /// flush or a reap runs it eagerly.
+  void released(PerThread& per, bool eager) {
+    if (eager || (++per.extra.sample & 63u) == 0) maintenance();
+  }
+  /// Routes an expired name back into its generation's group via the tag
+  /// table (the reap driver holds an epoch pin).
+  bool reclaim_cell(sim::Name name);
+
   struct LimboEntry {
     std::unique_ptr<ShardGroup> group;
     std::uint64_t unlink_epoch;
@@ -365,6 +257,13 @@ class ElasticRenamingService {
   /// should re-probe. Prevents a stampede of threads that all saw the
   /// same pressure from growing once each.
   bool grow_from(std::uint64_t seen_gen);
+  /// Any fully served claim ends the miss streak: pressure must be
+  /// *sustained* (uninterrupted misses) to trigger an automatic grow.
+  void end_miss_streak() {
+    if (miss_streak_.load(std::memory_order_relaxed) != 0) {
+      miss_streak_.store(0, std::memory_order_relaxed);
+    }
+  }
 
   bool resize_locked(std::uint64_t target);
   std::size_t reclaim_locked();
@@ -372,60 +271,20 @@ class ElasticRenamingService {
   /// Sampled release-path maintenance: reclamation + auto-shrink check.
   void maintenance();
 
-  /// The shared release path, bypassing the stash: one epoch pin, the
-  /// tag-table decode/release loop, coalesced per-group live updates.
-  /// `slot` is the caller's registered epoch slot. Both public release
-  /// surfaces and the stash flush/spill paths bottom out here. With
-  /// leasing on, each name's lease closes first; a close the reaper beat
-  /// — or one presenting a heartbeat the lease is not bound to (same-bits
-  /// ABA) — skips the group release (the cell is not ours to free).
-  /// `stripe` is nullable only on the thread-exit flush path; `hb` is the
-  /// releasing thread's heartbeat, the identity closes are checked
-  /// against.
-  std::uint64_t release_shared(const sim::Name* names, std::uint64_t count,
-                               EpochDomain::Slot& slot,
-                               telemetry::MetricsRegistry::ThreadStripe* stripe,
-                               const lease::Heartbeat* hb);
-
-  /// Per-op lease prologue (leasing on only): registers/stamps the
-  /// calling thread's heartbeat, revalidates the stash after a
-  /// self-detected stale gap, and runs the sampled try_reap poll under
-  /// an epoch pin (the reclaim callback dereferences the tag table).
-  void lease_heartbeat(lease::Heartbeat*& hb, std::uint32_t& poll,
-                       NameStash* st, EpochDomain::Slot& slot,
-                       telemetry::MetricsRegistry::ThreadStripe& stripe);
-
-  /// LeaseTable::ReclaimFn: routes an expired name back into its
-  /// generation's group via the tag table (caller holds an epoch pin).
-  static bool reclaim_cell(void* ctx, sim::Name name);
-
-  /// ServiceDirectory::FlushFn pair — an exiting thread's stash flush,
-  /// driven entirely off the payload's cached pointers (mid-TLS-
-  /// destruction: no thread_local lookups are legal here).
-  static void directory_flush(void* service, void* payload);
-  void flush_thread_state(void* payload);
-
-  /// Re-tags `st` against the current resize generation; on mismatch the
-  /// contents — names still held in a now-retired group — are flushed
-  /// through release_shared so that group can drain (the stash-
-  /// invalidation rule; see docs/protocols.md).
-  void cache_sync_gen(NameStash& st, EpochDomain::Slot& slot,
-                      telemetry::MetricsRegistry::ThreadStripe& stripe,
-                      const lease::Heartbeat* hb);
-  /// Hit/miss accounting; window roll-ups fold into the aggregate and
-  /// spill any excess above an adaptively shrunk capacity.
-  void cache_note_acquire(NameStash& st, bool hit, EpochDomain::Slot& slot,
-                          telemetry::MetricsRegistry::ThreadStripe& stripe,
-                          const lease::Heartbeat* hb);
-  /// Spills the `k` oldest stashed names through release_shared. `hb`
-  /// is the stash owner's heartbeat (stashed leases are rebound to it).
-  void cache_spill(NameStash& st, std::uint32_t k, EpochDomain::Slot& slot,
-                   telemetry::MetricsRegistry::ThreadStripe& stripe,
-                   const lease::Heartbeat* hb);
+  /// The grow threshold claim_one compares the miss streak against: the
+  /// controller's hysteresis knob when attached, else the option.
+  [[nodiscard]] std::uint32_t effective_grow_threshold() const {
+    return controller() != nullptr ? controller()->grow_miss_threshold()
+                                   : options_.grow_miss_threshold;
+  }
+  /// Likewise for the auto-shrink low-watermark streak (maintenance()).
+  [[nodiscard]] std::uint32_t effective_shrink_threshold() const {
+    return controller() != nullptr ? controller()->shrink_low_threshold()
+                                   : options_.shrink_low_threshold;
+  }
 
   ElasticOptions options_;
   std::uint64_t min_holders_;
-  std::uint64_t id_;  // process-unique (thread_ctx.h), keys per-thread state
   EpochDomain domain_;
   ScheduleCache schedules_;
 
@@ -468,52 +327,12 @@ class ElasticRenamingService {
   // self-consistency, not for cross-thread ordering.
   std::atomic<std::uint32_t> low_streak_{0};
 
-  /// Detailed-mode sampling: one observed op (trace_ticks() pair +
-  /// probe stats) per (mask + 1) per thread, same cadence as
-  /// RenamingService.
-  static constexpr std::uint32_t kLatencySampleMask = 255;
-
-  /// The telemetry surface, resolved once at construction (see
-  /// ElasticOptions::telemetry): the registry every event counts into,
-  /// the interned `elastic.*` metric ids, and the detailed flag gating
-  /// the per-op histograms.
-  struct Instruments {
-    telemetry::MetricsRegistry* registry = nullptr;
-    bool detailed = false;
-    telemetry::MetricId grow_events = 0;
-    telemetry::MetricId shrink_events = 0;
-    telemetry::MetricId reclaimed_groups = 0;
-    telemetry::MetricId cache_hits = 0;
-    telemetry::MetricId cache_misses = 0;
-    telemetry::MetricId sweep_budget_exhausted = 0;
-    telemetry::MetricId shard_migrations = 0;
-    telemetry::MetricId sweeps = 0;
-    telemetry::MetricId stash_spills = 0;
-    telemetry::MetricId stash_flushes = 0;
-    telemetry::MetricId epoch_advances = 0;
-    telemetry::MetricId acquire_ticks = 0;   // histogram
-    telemetry::MetricId release_ticks = 0;   // histogram
-    telemetry::MetricId probe_len = 0;       // histogram
-    telemetry::MetricId lost_races = 0;      // histogram
-    telemetry::MetricId ring_walk = 0;       // histogram
-    telemetry::MetricId quiesce_ticks = 0;   // histogram
-  };
-  std::unique_ptr<telemetry::MetricsRegistry> owned_metrics_;
-  Instruments ins_;
-  /// The closed control loop (null when options.control.mode == kOff);
-  /// constructed over ins_.registry, after it, destroyed before it.
-  std::unique_ptr<control::AdaptiveController> controller_;
-  /// The grow threshold acquire() compares the miss streak against:
-  /// the controller's hysteresis knob when attached, else the option.
-  [[nodiscard]] std::uint32_t effective_grow_threshold() const {
-    return controller_ != nullptr ? controller_->grow_miss_threshold()
-                                  : options_.grow_miss_threshold;
-  }
-  /// Likewise for the auto-shrink low-watermark streak (maintenance()).
-  [[nodiscard]] std::uint32_t effective_shrink_threshold() const {
-    return controller_ != nullptr ? controller_->shrink_low_threshold()
-                                  : options_.shrink_low_threshold;
-  }
+  /// The resize and reclamation metrics (the op metrics are the core's).
+  telemetry::MetricId grow_events_ = 0;
+  telemetry::MetricId shrink_events_ = 0;
+  telemetry::MetricId reclaimed_groups_ = 0;
+  telemetry::MetricId epoch_advances_ = 0;
+  telemetry::MetricId quiesce_ticks_ = 0;  // histogram
 
   /// Serializes resize + reclamation bookkeeping (cold path only).
   /// SimMutex, not std::mutex: the critical sections contain sim points
@@ -524,12 +343,8 @@ class ElasticRenamingService {
   mutable SimMutex resize_mu_;
   std::vector<std::unique_ptr<ShardGroup>> linked_;  // live + draining
   std::vector<LimboEntry> limbo_;  // unlinked, awaiting final quiescence
-
-  /// The lease table (null when options.lease.ttl_ticks == 0 — the
-  /// leasing-off hot path pays one null check per op and nothing else).
-  std::unique_ptr<lease::LeaseTable> leases_;
-  /// Sampled op-path reap poll cadence (every 64th op per thread).
-  static constexpr std::uint32_t kLeasePollMask = 63;
 };
+
+extern template class ServiceCore<ElasticRenamingService>;
 
 }  // namespace loren

@@ -1,12 +1,8 @@
-// Shared thread-context plumbing for the service layer.
-//
-// Both long-lived services (the fixed RenamingService and the
-// ElasticRenamingService) want the same per-thread machinery: a dense
-// thread slot for home-shard hashing, a cached per-thread generator, a
-// tiny per-(thread, service) state table keyed by a process-unique service
-// id, and — since the thread-local name cache — a per-(thread, service)
-// NameStash. This header factors the parts that were private to
-// service.cpp so the elastic service doesn't re-implement them.
+// Thread-context building blocks for the service layer's one op pipeline
+// (ServiceCore, renaming/service_core.h, which assembles them into its
+// per-thread context): dense thread slots for home-shard hashing,
+// process-unique service ids, the per-(thread, service) state table, and
+// the NameStash thread-local name cache.
 //
 // The per-service table is a small open-addressed map with one entry per
 // (thread, service) and no eviction — entries (and any registered nodes
@@ -44,8 +40,6 @@ namespace loren {
 /// operation and, on mismatch, discards (fixed: the cells were
 /// epoch-reset) or flushes (elastic: the names are still held in a
 /// retired group and must drain through the tag table) before serving.
-/// `expected_tag()` additionally pins the elastic stash to the live
-/// group's 3-bit tag so only live-generation names are ever stashed.
 ///
 /// Adaptive sizing: every kAdaptWindow acquisitions the capacity doubles
 /// when the hit rate ran >= 3/4 (hot reuse: deepen the stash) and halves
@@ -90,8 +84,6 @@ class NameStash {
 
   [[nodiscard]] std::uint64_t gen() const { return gen_; }
   void set_gen(std::uint64_t gen) { gen_ = gen; }
-  [[nodiscard]] std::uint32_t expected_tag() const { return expected_tag_; }
-  void set_expected_tag(std::uint32_t tag) { expected_tag_ = tag; }
 
   [[nodiscard]] std::uint32_t size() const { return count_; }
   [[nodiscard]] std::uint32_t capacity() const { return capacity_; }
@@ -111,12 +103,15 @@ class NameStash {
   void push(std::int64_t name) { names_[count_++] = name; }
 
   /// Linear scan (<= kMaxCapacity entries): the same-thread double-release
-  /// detector — a name already stashed must not be stashed again.
+  /// detector — a name already stashed must not be stashed again. No
+  /// early exit: a match is a contract violation, so the scan nearly
+  /// always runs to the end anyway, and a branch per entry let the
+  /// compiler lay release_many's per-name loop out with twice the taken
+  /// branches.
   [[nodiscard]] bool contains(std::int64_t name) const {
-    for (std::uint32_t i = 0; i < count_; ++i) {
-      if (names_[i] == name) return true;
-    }
-    return false;
+    bool found = false;
+    for (std::uint32_t i = 0; i < count_; ++i) found |= names_[i] == name;
+    return found;
   }
 
   /// Moves up to `k` of the *oldest* entries into `out` (spill policy:
@@ -172,8 +167,7 @@ class NameStash {
   std::uint32_t capacity_ = kMinCapacity;  // configure() overrides
   std::uint32_t window_ops_ = 0;
   std::uint32_t window_hits_ = 0;
-  std::uint64_t gen_ = 0;           // 0 = never tagged (services start at 1)
-  std::uint32_t expected_tag_ = 0;  // elastic only: the live group's tag
+  std::uint64_t gen_ = 0;  // 0 = never tagged (services start at 1)
 };
 
 /// Process-unique service instance id; ids start at 1 so 0 can mean

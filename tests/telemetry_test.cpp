@@ -326,6 +326,43 @@ TEST(ServiceTelemetryTest, AttachedRegistrySeesElasticMetrics) {
   EXPECT_GT(s.histogram("elastic.reclaim.quiesce_ticks")->count, 0u);
 }
 
+// `<prefix>.batch.ring_walk` records only walks that ran: 100
+// acquire_many(4) batches, each released straight back into the stash,
+// reach the shared path once (the first, on an empty stash) — the other
+// 99 are stash-served and record nothing, on both services.
+template <class Service>
+void expect_ring_walks_only_for_shared_batches(Service& svc,
+                                               MetricsRegistry& reg,
+                                               const std::string& prefix) {
+  for (int i = 0; i < 100; ++i) {
+    sim::Name batch[4];
+    ASSERT_EQ(svc.acquire_many(4, batch), 4u);
+    ASSERT_EQ(svc.release_many(batch, 4), 4u);
+  }
+  const MetricsSnapshot s = reg.snapshot();
+  EXPECT_EQ(s.histogram(prefix + ".batch.ring_walk")->count, 1u);
+  EXPECT_EQ(s.histogram(prefix + ".acquire.probe_len")->count, 1u);
+  svc.flush_thread_cache();
+  EXPECT_EQ(svc.names_live(), 0u);
+}
+
+TEST(ServiceTelemetryTest, StashServedBatchesRecordNoRingWalk) {
+  {
+    MetricsRegistry reg;
+    RenamingServiceOptions opts;
+    opts.telemetry.registry = &reg;
+    RenamingService svc(256, opts);
+    expect_ring_walks_only_for_shared_batches(svc, reg, "service");
+  }
+  {
+    MetricsRegistry reg;
+    ElasticOptions opts;
+    opts.telemetry.registry = &reg;
+    ElasticRenamingService svc(256, opts);
+    expect_ring_walks_only_for_shared_batches(svc, reg, "elastic");
+  }
+}
+
 TEST(ServiceTelemetryTest, SharedRegistryAggregatesAcrossServices) {
   MetricsRegistry reg;
   RenamingServiceOptions opts;
