@@ -1,13 +1,21 @@
 // Tests for the ReBatching algorithm (paper Section 4): correctness under
 // every adversary, step bounds, survivor decay (Lemma 4.2), the backup
-// phase, stats instrumentation, and crash tolerance.
+// phase, stats instrumentation, and crash tolerance. ReBatchingSteps pins
+// exact simulator counts for ReBatching and the two adaptive algorithms
+// built on its try_get_name.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <memory>
+#include <string>
+#include <vector>
 
+#include "renaming/adaptive.h"
+#include "renaming/fast_adaptive.h"
 #include "renaming/rebatching.h"
 #include "sim/runner.h"
 #include "sim/scheduler.h"
+#include "tas/rw_tas.h"
 
 namespace loren {
 namespace {
@@ -259,6 +267,167 @@ TEST(ReBatching, DeterministicAcrossIdenticalRuns) {
     EXPECT_EQ(r1.processes[i].name, r2.processes[i].name);
     EXPECT_EQ(r1.processes[i].steps, r2.processes[i].steps);
   }
+}
+
+// ------------------------------------------------ exact step counts ----
+//
+// Fixed seeds under the random and collision adversaries, pinned with
+// EXPECT_EQ: total and max steps, an FNV-1a hash of every issued name in
+// process order, and (for ReBatching) the per-batch entered/failed counts
+// and backup entries. A change to how the coroutines issue their probes
+// (frames, awaiters, RNG plumbing) must leave every value unchanged: it
+// may neither add a scheduling point nor reorder a coin flip.
+
+struct PinnedSteps {
+  std::uint64_t total_steps = 0;
+  std::uint64_t max_steps = 0;
+  std::uint64_t name_hash = 0;
+  std::vector<std::uint64_t> entered{};
+  std::vector<std::uint64_t> failed{};
+  std::uint64_t backup_entries = 0;
+};
+
+template <class Algo>
+PinnedSteps pinned_steps(const std::string& label, Algo& algo,
+                         ProcessId procs, std::uint64_t seed, bool collision,
+                         ReBatchingStats* stats = nullptr) {
+  sim::RandomStrategy random;
+  sim::CollisionAdversary adversary;
+  RunConfig cfg{.num_processes = procs, .seed = seed,
+                .strategy = collision ? static_cast<sim::Strategy*>(&adversary)
+                                      : static_cast<sim::Strategy*>(&random),
+                .max_total_steps = 5'000'000};
+  const RunResult r = sim::simulate(
+      [&algo](Env& env, ProcessId) -> Task<Name> {
+        co_return co_await algo.get_name(env);
+      },
+      cfg);
+  EXPECT_TRUE(r.renaming_correct());
+  PinnedSteps s{.total_steps = r.total_steps, .max_steps = r.max_steps,
+                .name_hash = 0xcbf29ce484222325ull};
+  for (const auto& p : r.processes) {
+    s.name_hash =
+        (s.name_hash ^ static_cast<std::uint64_t>(p.name)) * 0x100000001b3ull;
+  }
+  if (stats != nullptr) {
+    s.entered = stats->entered;
+    s.failed = stats->failed;
+    s.backup_entries = stats->backup_entries;
+  }
+  std::printf("[ STEPS    ] %s: total %llu max %llu hash %016llx backup %llu "
+              "entered/failed",
+              label.c_str(), static_cast<unsigned long long>(s.total_steps),
+              static_cast<unsigned long long>(s.max_steps),
+              static_cast<unsigned long long>(s.name_hash),
+              static_cast<unsigned long long>(s.backup_entries));
+  for (std::size_t i = 0; i < s.entered.size(); ++i) {
+    std::printf(" %llu/%llu", static_cast<unsigned long long>(s.entered[i]),
+                static_cast<unsigned long long>(s.failed[i]));
+  }
+  std::printf("\n");
+  return s;
+}
+
+void expect_pinned(const PinnedSteps& got, const PinnedSteps& want) {
+  EXPECT_EQ(got.total_steps, want.total_steps);
+  EXPECT_EQ(got.max_steps, want.max_steps);
+  EXPECT_EQ(got.name_hash, want.name_hash);
+  EXPECT_EQ(got.entered, want.entered);
+  EXPECT_EQ(got.failed, want.failed);
+  EXPECT_EQ(got.backup_entries, want.backup_entries);
+}
+
+PinnedSteps rebatching_steps(const std::string& label, ProcessId n,
+                             std::uint64_t seed, bool collision) {
+  ReBatching algo(n, 0.5);
+  ReBatchingStats stats;
+  algo.attach_stats(&stats);
+  return pinned_steps(label, algo, n, seed, collision, &stats);
+}
+
+TEST(ReBatchingSteps, Random64) {
+  expect_pinned(rebatching_steps("random n=64", 64, 11, false),
+                PinnedSteps{155, 20, 0xb57564fc0cb67a71,
+                            {64, 0, 0, 0}, {0, 0, 0, 0}, 0});
+}
+
+TEST(ReBatchingSteps, Random1024) {
+  expect_pinned(rebatching_steps("random n=1024", 1024, 12, false),
+                PinnedSteps{5265, 130, 0xfab78c97434a1de4,
+                            {1024, 9, 0, 0, 0}, {9, 0, 0, 0, 0}, 0});
+}
+
+TEST(ReBatchingSteps, Collision64) {
+  expect_pinned(rebatching_steps("collision n=64", 64, 13, true),
+                PinnedSteps{236, 25, 0x399d4b2adc70aa65,
+                            {64, 0, 0, 0}, {0, 0, 0, 0}, 0});
+}
+
+TEST(ReBatchingSteps, Collision1024) {
+  expect_pinned(rebatching_steps("collision n=1024", 1024, 14, true),
+                PinnedSteps{5523, 130, 0x3ab245a17038b478,
+                            {1024, 4, 0, 0, 0}, {4, 0, 0, 0, 0}, 0});
+}
+
+// The pathological layout of BackupPhaseHandlesPathologicalLayouts: the
+// deterministic backup sweep issues names too.
+TEST(ReBatchingSteps, BackupSweep) {
+  constexpr ProcessId kN = 32;
+  ReBatching algo(kN, ReBatching::Options{
+                          .layout = {.epsilon = 0.02, .beta = 1,
+                                     .t0_override = 1}});
+  ReBatchingStats stats;
+  algo.attach_stats(&stats);
+  expect_pinned(pinned_steps("backup sweep n=32", algo, kN, 3, true, &stats),
+                PinnedSteps{207, 25, 0x550bb6171431757a,
+                            {32, 15, 14, 13}, {15, 14, 13, 12}, 12});
+}
+
+// Probes routed through a TasService: every logical TAS is a read/write
+// tournament, so a probe costs many steps.
+TEST(ReBatchingSteps, TournamentService) {
+  constexpr ProcessId kN = 32;
+  const BatchLayout layout(kN, 0.5);
+  TournamentTasService service(0, layout.total(), kN);
+  ReBatching algo(kN, ReBatching::Options{.layout = {.epsilon = 0.5},
+                                          .service = &service});
+  ReBatchingStats stats;
+  algo.attach_stats(&stats);
+  expect_pinned(pinned_steps("tournament n=32", algo, kN, 5, false, &stats),
+                PinnedSteps{2660, 1614, 0xed8d916fbe2b3c3b,
+                            {32, 0, 0, 0}, {0, 0, 0, 0}, 0});
+}
+
+TEST(ReBatchingSteps, AdaptiveRandom) {
+  AdaptiveReBatching a64, a1024;
+  expect_pinned(pinned_steps("adaptive random k=64", a64, 64, 21, false),
+                PinnedSteps{10076, 221, 0x420210b22c566b78});
+  expect_pinned(pinned_steps("adaptive random k=1024", a1024, 1024, 22, false),
+                PinnedSteps{257722, 340, 0x635b769d42b3e938});
+}
+
+TEST(ReBatchingSteps, AdaptiveCollision) {
+  AdaptiveReBatching a64, a1024;
+  expect_pinned(pinned_steps("adaptive collision k=64", a64, 64, 23, true),
+                PinnedSteps{10090, 222, 0x789fddb2cad3321e});
+  expect_pinned(pinned_steps("adaptive collision k=1024", a1024, 1024, 24, true),
+                PinnedSteps{258411, 340, 0xdbf343bf831faf98});
+}
+
+TEST(ReBatchingSteps, FastAdaptiveRandom) {
+  FastAdaptiveReBatching a64, a1024;
+  expect_pinned(pinned_steps("fast random k=64", a64, 64, 31, false),
+                PinnedSteps{10049, 225, 0x3cb3a9ee7c97ae3e});
+  expect_pinned(pinned_steps("fast random k=1024", a1024, 1024, 32, false),
+                PinnedSteps{254524, 333, 0x242de961e9266a8e});
+}
+
+TEST(ReBatchingSteps, FastAdaptiveCollision) {
+  FastAdaptiveReBatching a64, a1024;
+  expect_pinned(pinned_steps("fast collision k=64", a64, 64, 33, true),
+                PinnedSteps{10066, 225, 0x756e282543264de7});
+  expect_pinned(pinned_steps("fast collision k=1024", a1024, 1024, 34, true),
+                PinnedSteps{255090, 333, 0x1e74bbff9db09f2a});
 }
 
 }  // namespace
