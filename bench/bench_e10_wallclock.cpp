@@ -2,7 +2,12 @@
 //
 // Wall-clock benchmarks over std::atomic cells:
 //   * BM_GetName / BM_GetNameDirect — acquisition latency, coroutine vs
-//     hand-inlined fast path (the coroutine/virtual-Env overhead ablation);
+//     hand-inlined fast path (the coroutine/virtual-Env overhead ablation).
+//     Both draw from the thread's cached coin stream and allocate nothing
+//     in the steady state (frames come from sim::Task's per-thread
+//     recycler, and probes await the TAS with no frame of their own), so
+//     the gap is the coroutine machinery itself: resuming frames and the
+//     virtual Env calls behind each probe and each coin;
 //   * BM_UniformProbe / BM_LinearScan — baselines at the same namespace;
 //   * BM_Epsilon — how the namespace slack eps changes the cost (ablation
 //     of the t0 = ceil(17 ln(8e/eps)/eps) constant);

@@ -3,6 +3,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "renaming/thread_ctx.h"
+
 namespace loren {
 
 using sim::Name;
@@ -14,6 +16,36 @@ BatchLayoutParams with_epsilon(BatchLayoutParams p, double epsilon) {
   return p;
 }
 
+/// The calling thread's coin stream (see concurrent.h). One slot per
+/// thread, reseeded when the thread switches instances. Instance ids only
+/// grow, so a switch to an id above every id the thread has entered is a
+/// first visit and seeds from (seed, thread slot) alone; a switch back to
+/// an older instance also mixes in the thread's count of such returns, so
+/// it never replays coins it flipped on an earlier visit.
+struct CoinStream {
+  std::uint64_t instance = 0;  // ids start at 1: 0 = never seeded
+  std::uint64_t newest = 0;    // largest instance id entered so far
+  std::uint64_t returns = 0;
+  std::uint64_t slot = 0;
+  Xoshiro256 rng{0};
+};
+
+CoinStream& coin_stream(std::uint64_t instance, std::uint64_t seed) {
+  thread_local CoinStream s;
+  if (s.instance != instance) [[unlikely]] {
+    s.slot = dense_thread_slot();
+    std::uint64_t stream = s.slot;
+    if (instance <= s.newest) {
+      stream = mix_seed(stream, ++s.returns);
+    } else {
+      s.newest = instance;
+    }
+    s.instance = instance;
+    s.rng.reseed(mix_seed(seed, stream));
+  }
+  return s;
+}
+
 }  // namespace
 
 ConcurrentRenamer::ConcurrentRenamer(std::uint64_t n, double epsilon,
@@ -21,24 +53,21 @@ ConcurrentRenamer::ConcurrentRenamer(std::uint64_t n, double epsilon,
                                      BatchLayoutParams extra,
                                      ArenaLayout arena_layout)
     : seed_(seed),
+      id_(next_service_instance_id()),
       cells_(BatchLayout(n, with_epsilon(extra, epsilon)).total(), arena_layout),
       algo_(n, ReBatching::Options{.layout = with_epsilon(extra, epsilon)}),
       schedule_(algo_.layout()) {}
 
 Name ConcurrentRenamer::get_name() {
-  // sim:exempt(RNG ticket draw; the probe RMWs inside the arena are the
-  // schedulable steps)
-  ArenaEnv env(cells_, seed_,
-               ticket_.fetch_add(1, std::memory_order_relaxed));
+  CoinStream& coins = coin_stream(id_, seed_);
+  ArenaEnv env(cells_, coins.rng, static_cast<sim::ProcessId>(coins.slot));
   const Name name = sim::run_sync(algo_.get_name(env));
   if (name >= 0) assigned_.add(1);
   return name;
 }
 
 Name ConcurrentRenamer::get_name_direct() {
-  // sim:exempt(RNG ticket draw; the probe RMWs inside the arena are the
-  // schedulable steps)
-  Xoshiro256 rng(mix_seed(seed_, ticket_.fetch_add(1, std::memory_order_relaxed)));
+  Xoshiro256& rng = coin_stream(id_, seed_).rng;
   for (const auto& slot : schedule_) {
     const std::uint64_t x = slot.offset + rng.below(slot.size);
     // sim:exempt(forwards to the arena RMW, which carries the sim point)
@@ -96,6 +125,7 @@ std::uint64_t adaptive_capacity(std::uint64_t max_contention, double epsilon) {
 AdaptiveConcurrentRenamer::AdaptiveConcurrentRenamer(
     std::uint64_t max_contention, double epsilon, std::uint64_t seed)
     : seed_(seed),
+      id_(next_service_instance_id()),
       cells_(adaptive_capacity(max_contention, epsilon), ArenaLayout::kPacked),
       algo_(AdaptiveReBatching::Options{.layout = {.epsilon = epsilon}}) {
   if (max_contention == 0) {
@@ -104,10 +134,8 @@ AdaptiveConcurrentRenamer::AdaptiveConcurrentRenamer(
 }
 
 std::optional<Name> AdaptiveConcurrentRenamer::try_get_name() {
-  // sim:exempt(RNG ticket draw; the probe RMWs inside the arena are the
-  // schedulable steps)
-  ArenaEnv env(cells_, seed_,
-               ticket_.fetch_add(1, std::memory_order_relaxed));
+  CoinStream& coins = coin_stream(id_, seed_);
+  ArenaEnv env(cells_, coins.rng, static_cast<sim::ProcessId>(coins.slot));
   try {
     const Name name = sim::run_sync(algo_.get_name(env));
     if (name < 0) return std::nullopt;

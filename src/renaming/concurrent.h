@@ -6,13 +6,25 @@
 // hand-inlined non-coroutine fast path is provided for the E10 overhead
 // ablation and for users who want the minimal-latency variant.
 //
+// As in the paper's model (Section 2), a caller flips private local coins
+// and pays only its TAS probes. Each thread keeps one cached coin stream
+// (Xoshiro256), seeded from the renamer's seed and the thread's dense
+// slot the first time it calls into an instance and kept for as long as
+// it stays on that instance, so after its first call a thread's only
+// shared RMWs are its probes, its release exchange and its own stripe of
+// the assigned counter. Both walks draw from that stream in the same
+// order, so on one thread get_name() and get_name_direct() issue the same
+// names. The coroutine frames come from a per-thread recycler (sim/task.h)
+// and the probes await the TAS directly, so a call allocates nothing in
+// the steady state.
+//
 // The shared substrate is a TasArena (tas/tas_arena.h): cache-line-padded
 // by default so concurrent probes never false-share, generation-stamped so
 // reset() is O(1), with the minimal memory orders that keep TAS
 // linearizable. The direct path walks a FlatProbeSchedule — the batch
-// geometry precomputed into one (offset, size) array — and the bookkeeping
-// counters are padded/striped so acquisition never serializes on a single
-// cache line.
+// geometry precomputed into one (offset, size) array — and the assigned
+// counter is striped so acquisition never serializes on a single cache
+// line.
 //
 // Typical use (see examples/quickstart.cpp):
 //
@@ -21,7 +33,6 @@
 //   loren::sim::Name id = renamer.get_name();   // unique in [0, capacity)
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <optional>
 
@@ -75,17 +86,13 @@ class ConcurrentRenamer {
 
  private:
   std::uint64_t seed_;
+  /// Keys the threads' cached coin streams (process-unique, never reused,
+  /// so a renamer built at a dead one's address starts fresh streams).
+  std::uint64_t id_;
   TasArena cells_;
   ReBatching algo_;
   FlatProbeSchedule schedule_;
-  /// Ticket and the assigned counter each live on their own cache line:
-  /// in the seed they shared one, so every acquisition paid two RMW
-  /// bounces on the same hot line. The assigned counter is additionally
-  /// striped so acquire/release never serialize on a single cell.
-  // mo: relaxed -- per-caller RNG ticket: uniqueness only, no ordering
-  // with the cells the caller then probes.
-  alignas(TasArena::kCacheLine) std::atomic<std::uint32_t> ticket_{0};
-  alignas(TasArena::kCacheLine) StripedCounter assigned_;
+  StripedCounter assigned_;
 };
 
 /// Adaptive renaming: contention k unknown; names are O(k) w.h.p. Capacity
@@ -106,13 +113,11 @@ class AdaptiveConcurrentRenamer {
 
  private:
   std::uint64_t seed_;
+  std::uint64_t id_;  // keys the threads' coin streams, as above
   /// Packed layout: the adaptive construction stacks many ReBatching
   /// objects in one address space, so density beats padding here.
   TasArena cells_;
   AdaptiveReBatching algo_;
-  // mo: relaxed -- per-caller RNG ticket: uniqueness only, no ordering
-  // with the cells the caller then probes.
-  alignas(TasArena::kCacheLine) std::atomic<std::uint32_t> ticket_{0};
 };
 
 }  // namespace loren

@@ -12,23 +12,19 @@ ReBatching::ReBatching(std::uint64_t n, Options options)
       backup_(options.backup),
       service_(options.service) {}
 
-Task<bool> ReBatching::probe(Env& env, std::uint64_t logical) {
-  if (service_ != nullptr) {
-    co_return co_await service_->acquire(env, base_ + logical);
-  }
-  co_return co_await sim::tas(env, base_ + logical);
-}
-
 Task<Name> ReBatching::try_get_name(Env& env, std::uint64_t batch) {
   if (stats_ != nullptr) ++stats_->entered[batch];
   const std::uint64_t b = layout_.size(batch);
   const int t = layout_.probes(batch);
   for (int j = 0; j < t; ++j) {
-    const std::uint64_t x = env.random_below(b);
-    const std::uint64_t logical = layout_.offset(batch) + x;
-    if (co_await probe(env, logical)) {
-      co_return static_cast<Name>(base_ + logical);
-    }
+    const sim::Location loc =
+        base_ + layout_.offset(batch) + env.random_below(b);
+    // Probes await the TAS (or the service) directly rather than through
+    // a helper coroutine, so a probe allocates no frame of its own.
+    const bool won = service_ != nullptr
+                         ? co_await service_->acquire(env, loc)
+                         : co_await sim::tas(env, loc);
+    if (won) co_return static_cast<Name>(loc);
   }
   if (stats_ != nullptr) ++stats_->failed[batch];
   co_return -1;
@@ -46,8 +42,11 @@ Task<Name> ReBatching::get_name(Env& env) {
     // Figure 1 lines 5-7: deterministic sweep; reached with probability
     // 1/n^(beta-o(1)) but indispensable for worst-case termination.
     if (stats_ != nullptr) ++stats_->backup_entries;
-    for (std::uint64_t u = 0; u < layout_.total(); ++u) {
-      if (co_await probe(env, u)) co_return static_cast<Name>(base_ + u);
+    for (sim::Location loc = base_; loc < end(); ++loc) {
+      const bool won = service_ != nullptr
+                           ? co_await service_->acquire(env, loc)
+                           : co_await sim::tas(env, loc);
+      if (won) co_return static_cast<Name>(loc);
     }
   }
   co_return -1;

@@ -75,8 +75,6 @@ class ReBatching {
   }
 
  private:
-  sim::Task<bool> probe(sim::Env& env, std::uint64_t logical);
-
   BatchLayout layout_;
   sim::Location base_;
   bool backup_;

@@ -38,10 +38,10 @@
 // Hot-path engineering (measured by perfbench/'s reuse-churn and
 // full-scatter workloads):
 //   * one thread_local context per call — cached Xoshiro256, thread slot,
-//     shard hints, and counter node behind a single TLS access; the
-//     per-call reseed-from-ticket of ConcurrentRenamer::get_name_direct
-//     (a shared fetch_add + six SplitMix64 rounds per acquisition)
-//     happens once per thread here;
+//     shard hints, and counter node behind a single TLS access, so the
+//     generator is seeded once per thread, never per acquisition (the
+//     paper-model ConcurrentRenamer caches its threads' coin streams the
+//     same way);
 //   * word-scan shards of at most 512 cells — a probe covers 64 cells
 //     with one load and one RMW, and a sticky thread's probes stay in a
 //     few cache lines;

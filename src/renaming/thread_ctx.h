@@ -170,13 +170,13 @@ class NameStash {
   std::uint64_t gen_ = 0;  // 0 = never tagged (services start at 1)
 };
 
-/// Process-unique service instance id; ids start at 1 so 0 can mean
-/// "empty" in the per-thread tables forever.
+/// Process-unique instance id (services, and the renamers that key their
+/// threads' coin streams by it); ids start at 1 so 0 can mean "empty" in
+/// the per-thread tables forever.
 inline std::uint64_t next_service_instance_id() {
   // mo: relaxed -- id ticket: uniqueness only, no ordering contract.
   static std::atomic<std::uint64_t> next{1};
-  // sim:exempt(one-time id draw at service construction, not an
-  // algorithm step)
+  // sim:exempt(one-time id draw at construction, not an algorithm step)
   return next.fetch_add(1, std::memory_order_relaxed);
 }
 

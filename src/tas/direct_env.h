@@ -15,13 +15,15 @@
 
 namespace loren {
 
-/// One BasicDirectEnv per thread (it owns that thread's random stream and
-/// step counter); the substrate is the shared memory.
+/// One BasicDirectEnv per thread at a time; the substrate is the shared
+/// memory. The caller owns the random stream and keeps it across envs, so
+/// building an env per call costs no reseed (ConcurrentRenamer keeps one
+/// stream per thread).
 template <class Memory>
 class BasicDirectEnv final : public sim::Env {
  public:
-  BasicDirectEnv(Memory& memory, std::uint64_t seed, sim::ProcessId pid)
-      : memory_(&memory), rng_(mix_seed(seed, pid)), pid_(pid) {}
+  BasicDirectEnv(Memory& memory, Xoshiro256& rng, sim::ProcessId pid)
+      : memory_(&memory), rng_(&rng), pid_(pid) {}
 
   [[nodiscard]] bool immediate() const override { return true; }
 
@@ -47,7 +49,7 @@ class BasicDirectEnv final : public sim::Env {
   }
 
   std::uint64_t random_below(std::uint64_t bound) override {
-    return rng_.below(bound);
+    return rng_->below(bound);
   }
 
   void ensure_locations(std::uint64_t count) override {
@@ -63,7 +65,7 @@ class BasicDirectEnv final : public sim::Env {
 
  private:
   Memory* memory_;
-  Xoshiro256 rng_;
+  Xoshiro256* rng_;
   sim::ProcessId pid_;
   std::uint64_t steps_ = 0;
 };

@@ -306,8 +306,9 @@ TEST(AdaptiveHardware, SoloThreadGetsSmallName) {
 
 TEST(AdaptiveHardware, FastAdaptiveOverSharedArenaIsUniqueAndOrderK) {
   // FastAdaptiveReBatching has no dedicated hardware wrapper; drive the
-  // coroutine directly over a shared packed TasArena, one ArenaEnv (own
-  // rng stream + pid) per acquisition, as AdaptiveConcurrentRenamer does.
+  // coroutine directly over a shared packed TasArena, one ArenaEnv per
+  // acquisition over the thread's own coin stream, as
+  // AdaptiveConcurrentRenamer does.
   constexpr unsigned kThreads = 4;
   constexpr unsigned kPerThread = 32;  // realized contention k = 128
   constexpr std::uint64_t kMaxObject = 12;
@@ -318,15 +319,14 @@ TEST(AdaptiveHardware, FastAdaptiveOverSharedArenaIsUniqueAndOrderK) {
   TasArena arena(cells, ArenaLayout::kPacked);
 
   std::vector<std::vector<sim::Name>> got(kThreads);
-  std::atomic<std::uint32_t> ticket{0};
   std::vector<std::thread> pool;
   pool.reserve(kThreads);
   for (unsigned t = 0; t < kThreads; ++t) {
     pool.emplace_back([&, t] {
       got[t].reserve(kPerThread);
+      Xoshiro256 rng(mix_seed(0xFA57, t));
       for (unsigned i = 0; i < kPerThread; ++i) {
-        ArenaEnv env(arena, 0xFA57,
-                     ticket.fetch_add(1, std::memory_order_relaxed));
+        ArenaEnv env(arena, rng, t);
         got[t].push_back(sim::run_sync(algo.get_name(env)));
       }
     });

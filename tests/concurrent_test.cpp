@@ -88,6 +88,61 @@ TEST(ConcurrentRenamer, OversubscriptionFallsBackToBackup) {
   EXPECT_EQ(renamer.get_name_direct(), -1);
 }
 
+// One thread, two fresh renamers with one seed: the coroutine walk
+// (get_name over ArenaEnv) and the flat walk (get_name_direct) flip the
+// thread's coins in the same order, so they issue the same names. The
+// small layout (one probe per batch, beta = 1) is asked for its whole
+// capacity plus one, so its tail comes from the backup sweep and its last
+// call fails on both paths.
+TEST(ConcurrentRenamer, CoroutineAndDirectWalksIssueTheSameNames) {
+  struct Case {
+    std::uint64_t n;
+    double epsilon;
+    BatchLayoutParams extra;
+    bool oversubscribe;
+  };
+  for (const Case& c : {Case{1024, 0.5, {}, false},
+                        Case{32, 0.05, {.beta = 1, .t0_override = 1}, true}}) {
+    ConcurrentRenamer coroutine(c.n, c.epsilon, 0xE0, c.extra);
+    ConcurrentRenamer direct(c.n, c.epsilon, 0xE0, c.extra);
+    const std::uint64_t calls =
+        c.oversubscribe ? coroutine.capacity() + 1 : c.n;
+    std::vector<Name> via_coroutine, via_direct;
+    for (std::uint64_t i = 0; i < calls; ++i) {
+      via_coroutine.push_back(coroutine.get_name());
+    }
+    for (std::uint64_t i = 0; i < calls; ++i) {
+      via_direct.push_back(direct.get_name_direct());
+    }
+    EXPECT_EQ(via_coroutine, via_direct) << "n=" << c.n;
+    if (c.oversubscribe) {
+      EXPECT_EQ(via_coroutine.back(), -1);
+    }
+  }
+}
+
+// A thread that leaves a renamer and comes back draws fresh coins rather
+// than replaying the stream it started there: with the first name
+// released, each return after a detour through another renamer would
+// otherwise win that same cell again (batch 0 has n cells, so a fresh
+// first coin repeats it with probability 1/n).
+TEST(ConcurrentRenamer, ReturningToARenamerDrawsFreshCoins) {
+  constexpr std::uint64_t kN = 1024;
+  ConcurrentRenamer renamer(kN, 0.5);
+  ConcurrentRenamer detour(kN, 0.5);
+  const Name first = renamer.get_name();
+  renamer.release(first);
+  int repeats = 0;
+  for (int round = 0; round < 8; ++round) {
+    ASSERT_GE(detour.get_name(), 0);
+    const Name again = renamer.get_name();
+    ASSERT_GE(again, 0);
+    repeats += again == first ? 1 : 0;
+    renamer.release(again);
+  }
+  EXPECT_LE(repeats, 1);
+}
+
 TEST(ConcurrentRenamer, CapacityMatchesLayout) {
   ConcurrentRenamer renamer(100, 0.5);
   EXPECT_EQ(renamer.capacity(), BatchLayout(100, 0.5).total());

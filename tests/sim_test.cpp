@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "sim/env.h"
@@ -98,6 +99,133 @@ TEST(TaskTest, DestroyingSuspendedTaskIsSafe) {
     // Task goes out of scope while suspended at the TAS awaiter.
   }
   SUCCEED();
+}
+
+// --------------------------------------------------- frame recycler ----
+//
+// Each case runs on a fresh thread, so it starts from an empty cache.
+
+using detail::FrameCache;
+
+template <class Body>
+void on_fresh_thread(Body body) {
+  std::thread(body).join();
+}
+
+TEST(FrameCacheTest, FreedFramesAreReusedAndBounded) {
+  on_fresh_thread([] {
+    EXPECT_EQ(FrameCache::cached(), 0u);
+    {
+      std::vector<Task<int>> tasks;
+      for (int i = 0; i < 10; ++i) tasks.push_back(immediate_value(i));
+    }
+    // Ten frames of one size class freed: the cache keeps kDepth.
+    EXPECT_EQ(FrameCache::cached(), FrameCache::kDepth);
+    auto t = immediate_value(5);
+    EXPECT_EQ(FrameCache::cached(), FrameCache::kDepth - 1);
+    t.resume();
+    EXPECT_EQ(t.result(), 5);
+  });
+}
+
+TEST(FrameCacheTest, FramesFreedOutOfOrderAreReusedSafely) {
+  on_fresh_thread([] {
+    auto a = immediate_value(1);
+    auto b = nested_add(2, 3);
+    auto c = immediate_value(4);
+    b = Task<int>{};
+    a = Task<int>{};
+    c = Task<int>{};
+    EXPECT_EQ(FrameCache::cached(), 3u);
+    // The three freed blocks come back in a different order and back
+    // frames of a different shape (nested_add's child frames).
+    auto d = nested_add(5, 6);
+    auto e = immediate_value(7);
+    d.resume();
+    e.resume();
+    EXPECT_EQ(d.result(), 11);
+    EXPECT_EQ(e.result(), 7);
+  });
+}
+
+Task<bool> claim(Env& env, Location loc) { co_return co_await tas(env, loc); }
+
+TEST(FrameCacheTest, InterleavedProcessesFreeFramesOutOfOrder) {
+  // Every probe is a child frame, and the random schedule finishes the
+  // processes' probes in an order unrelated to their allocation, so
+  // frames are freed non-LIFO and re-allocated from the cache mid-run.
+  const AlgoFactory probing = [](Env& env, ProcessId) -> Task<Name> {
+    env.ensure_locations(32);
+    for (Location loc = 0;; loc = (loc + 1 + env.random_below(3)) % 32) {
+      if (co_await claim(env, loc)) co_return static_cast<Name>(loc);
+    }
+  };
+  on_fresh_thread([&probing] {
+    RunResult runs[2];
+    for (RunResult& r : runs) {
+      RandomStrategy strat;
+      RunConfig cfg{.num_processes = 24, .seed = 41, .strategy = &strat};
+      r = simulate(probing, cfg);
+      EXPECT_TRUE(r.renaming_correct());
+      EXPECT_EQ(r.finished, 24u);
+    }
+    // The second run starts with a warm cache and must not notice.
+    EXPECT_EQ(runs[0].total_steps, runs[1].total_steps);
+    for (std::size_t i = 0; i < runs[0].processes.size(); ++i) {
+      EXPECT_EQ(runs[0].processes[i].name, runs[1].processes[i].name);
+    }
+    EXPECT_GT(FrameCache::cached(), 0u);
+  });
+}
+
+TEST(FrameCacheTest, TaskDestroyedOnAnotherThreadJoinsThatThreadsCache) {
+  // Suspended two levels deep at a simulated TAS on one thread, then
+  // destroyed on another: both frames land in the destroying thread's
+  // cache, and that thread reuses them.
+  SimEnv env(1, 3);
+  env.ensure_locations(1);
+  auto algo = [](Env& e) -> Task<Name> {
+    if (co_await claim(e, 0)) co_return 0;
+    co_return -1;
+  };
+  Task<Name> task;
+  std::size_t creator_cached = 0;
+  on_fresh_thread([&] {
+    task = algo(env);
+    env.set_current(0);
+    task.resume();
+    EXPECT_FALSE(task.done());
+    creator_cached = FrameCache::cached();
+  });
+  EXPECT_EQ(creator_cached, 0u);
+  on_fresh_thread([&task] {
+    task = Task<Name>{};
+    EXPECT_EQ(FrameCache::cached(), 2u);
+    auto t = nested_add(1, 1);
+    t.resume();
+    EXPECT_EQ(t.result(), 2);
+  });
+}
+
+TEST(FrameCacheTest, ThreadExitWithWarmCache) {
+  struct Holder {
+    Task<int> task;
+  };
+  bool warm = false;
+  on_fresh_thread([&warm] {
+    // Constructed before the cache, so destroyed after it at thread exit:
+    // its frame is freed once the cache is gone and must go straight to
+    // the allocator (ASan reports a leak or a bad free otherwise).
+    thread_local Holder late;
+    late.task = immediate_value(9);
+    {
+      auto t = nested_add(1, 2);
+      t.resume();
+      EXPECT_EQ(t.result(), 3);
+    }
+    warm = FrameCache::cached() > 0;
+  });
+  EXPECT_TRUE(warm);
 }
 
 // ------------------------------------------------------------ SimEnv ----

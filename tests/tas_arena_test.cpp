@@ -139,7 +139,8 @@ INSTANTIATE_TEST_SUITE_P(BothLayouts, TasArenaLayouts,
 
 TEST(TasArenaEnv, CoroutineAlgorithmsRunOnTheArena) {
   TasArena arena(8);
-  ArenaEnv env(arena, /*seed=*/7, /*pid=*/0);
+  Xoshiro256 rng(/*seed=*/7);
+  ArenaEnv env(arena, rng, /*pid=*/0);
   EXPECT_EQ(env.execute_now(sim::OpKind::kTas, 3, 0), 1u);
   EXPECT_EQ(env.execute_now(sim::OpKind::kTas, 3, 0), 0u);
   EXPECT_EQ(env.execute_now(sim::OpKind::kRead, 3, 0), 1u);

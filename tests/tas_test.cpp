@@ -70,7 +70,8 @@ TEST(AtomicTasArray, ConcurrentExactlyOneWinnerPerCell) {
 
 TEST(DirectEnv, ExecutesImmediately) {
   AtomicTasArray arr(4);
-  DirectEnv env(arr, 1, 0);
+  Xoshiro256 rng(1);
+  DirectEnv env(arr, rng, 0);
   EXPECT_TRUE(env.immediate());
   EXPECT_EQ(env.execute_now(sim::OpKind::kTas, 1, 0), 1u);
   EXPECT_EQ(env.execute_now(sim::OpKind::kTas, 1, 0), 0u);
@@ -79,20 +80,23 @@ TEST(DirectEnv, ExecutesImmediately) {
 
 TEST(DirectEnv, EnsureLocationsChecksCapacity) {
   AtomicTasArray arr(4);
-  DirectEnv env(arr, 1, 0);
+  Xoshiro256 rng(1);
+  DirectEnv env(arr, rng, 0);
   EXPECT_NO_THROW(env.ensure_locations(4));
   EXPECT_THROW(env.ensure_locations(5), std::length_error);
 }
 
 TEST(DirectEnv, PostIsForbidden) {
   AtomicTasArray arr(1);
-  DirectEnv env(arr, 1, 0);
+  Xoshiro256 rng(1);
+  DirectEnv env(arr, rng, 0);
   EXPECT_THROW(env.post(sim::PendingOp{}), std::logic_error);
 }
 
 TEST(DirectEnv, CoroutineRunsSynchronously) {
   AtomicTasArray arr(2);
-  DirectEnv env(arr, 1, 0);
+  Xoshiro256 rng(1);
+  DirectEnv env(arr, rng, 0);
   auto algo = [](Env& e) -> Task<Name> {
     if (co_await sim::tas(e, 0)) co_return 0;
     co_return -1;
