@@ -2,12 +2,14 @@
 //
 // Wall-clock benchmarks over std::atomic cells:
 //   * BM_GetName / BM_GetNameDirect — acquisition latency, coroutine vs
-//     hand-inlined fast path (the coroutine/virtual-Env overhead ablation).
-//     Both draw from the thread's cached coin stream and allocate nothing
-//     in the steady state (frames come from sim::Task's per-thread
-//     recycler, and probes await the TAS with no frame of their own), so
-//     the gap is the coroutine machinery itself: resuming frames and the
-//     virtual Env calls behind each probe and each coin;
+//     hand-inlined fast path (the coroutine overhead ablation). Both draw
+//     from the thread's cached coin stream and allocate nothing in the
+//     steady state (the one frame per call comes from sim::Task's
+//     per-thread recycler, and probes await the TAS with no frame of
+//     their own), and the coroutine is compiled against ArenaEnv, so its
+//     probes and coins are direct calls too. The gap is what is left of
+//     the coroutine machinery: building and resuming that frame, and
+//     walking the BatchLayout rather than the flattened schedule;
 //   * BM_UniformProbe / BM_LinearScan — baselines at the same namespace;
 //   * BM_Epsilon — how the namespace slack eps changes the cost (ablation
 //     of the t0 = ceil(17 ln(8e/eps)/eps) constant);

@@ -14,9 +14,12 @@
 // shared RMWs are its probes, its release exchange and its own stripe of
 // the assigned counter. Both walks draw from that stream in the same
 // order, so on one thread get_name() and get_name_direct() issue the same
-// names. The coroutine frames come from a per-thread recycler (sim/task.h)
-// and the probes await the TAS directly, so a call allocates nothing in
-// the steady state.
+// names. ReBatching's coroutine is compiled against ArenaEnv itself, not
+// just the virtual sim::Env, so each probe and each coin is a direct call
+// into the TasArena and the stream. A call builds one coroutine frame (the
+// walk over every batch and the backup sweep), taken from a per-thread
+// recycler (sim/task.h), and the probes await the TAS directly, so a call
+// allocates nothing in the steady state.
 //
 // The shared substrate is a TasArena (tas/tas_arena.h): cache-line-padded
 // by default so concurrent probes never false-share, generation-stamped so
@@ -57,8 +60,8 @@ class ConcurrentRenamer {
   /// Wait-free unique name; log log n + O(1) shared-memory steps w.h.p.
   sim::Name get_name();
 
-  /// Same algorithm, hand-inlined (no coroutine frames, no virtual Env):
-  /// a linear walk of the flattened probe schedule.
+  /// Same algorithm, hand-inlined: a linear walk of the flattened probe
+  /// schedule, with no coroutine frame to build or resume.
   sim::Name get_name_direct();
 
   /// Returns `name` to the namespace so later get_name calls can claim it

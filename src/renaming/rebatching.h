@@ -9,6 +9,7 @@
 // step complexity is log2 log2 n + O(1) with high probability.
 #pragma once
 
+#include <concepts>
 #include <cstdint>
 
 #include "renaming/batch_layout.h"
@@ -17,6 +18,18 @@
 #include "tas/tas_service.h"
 
 namespace loren {
+
+class TasArena;
+template <class Memory>
+class BasicDirectEnv;
+using ArenaEnv = BasicDirectEnv<TasArena>;  // tas/tas_arena.h
+
+/// The env types ReBatching's coroutine is compiled for (rebatching.cpp):
+/// sim::Env, which the simulator and every other env pass as, and ArenaEnv,
+/// ConcurrentRenamer's hardware env, whose probes and coins then bind
+/// statically (BasicDirectEnv is final) instead of through virtual calls.
+template <class E>
+concept ReBatchingEnv = std::same_as<E, sim::Env> || std::same_as<E, ArenaEnv>;
 
 /// Per-object instrumentation (simulation runs only; not thread-safe).
 /// `entered[i]` counts TryGetName(i) calls, `failed[i]` counts calls that
@@ -53,11 +66,15 @@ class ReBatching {
       : ReBatching(n, Options{.layout = {.epsilon = epsilon}}) {}
 
   /// Figure 1, GetName(). Returns a name in [base, base+total()), or -1
-  /// when backup is disabled and every batch failed.
-  sim::Task<sim::Name> get_name(sim::Env& env);
+  /// when backup is disabled and every batch failed. Not a coroutine:
+  /// sizes the cells, then hands back the walk over every batch, so a
+  /// call builds one frame.
+  template <ReBatchingEnv E>
+  sim::Task<sim::Name> get_name(E& env);
 
-  /// Figure 1, TryGetName(i): t_i random probes on batch i.
-  sim::Task<sim::Name> try_get_name(sim::Env& env, std::uint64_t batch);
+  /// Figure 1, TryGetName(i): t_i random probes on batch i, no backup.
+  template <ReBatchingEnv E>
+  sim::Task<sim::Name> try_get_name(E& env, std::uint64_t batch);
 
   [[nodiscard]] const BatchLayout& layout() const { return layout_; }
   [[nodiscard]] sim::Location base() const { return base_; }
@@ -75,6 +92,12 @@ class ReBatching {
   }
 
  private:
+  /// The one coroutine body: Figure 1's probes on batches [first, last),
+  /// then the backup sweep when `backup` is set.
+  template <ReBatchingEnv E>
+  sim::Task<sim::Name> walk(E& env, std::uint64_t first, std::uint64_t last,
+                            bool backup);
+
   BatchLayout layout_;
   sim::Location base_;
   bool backup_;

@@ -10,6 +10,7 @@
 // paper's adversaries and (b) run the same code on hardware.
 #pragma once
 
+#include <concepts>
 #include <coroutine>
 #include <cstdint>
 #include <stdexcept>
@@ -67,8 +68,13 @@ class Env {
 
 namespace detail {
 
+/// The awaiter behind tas/read/write, templated on the env type: over a
+/// `final` env (ArenaEnv, the hardware path) the immediate() check and the
+/// execute_now() call bind statically, so a probe costs no indirect call;
+/// over sim::Env they stay virtual.
+template <class E>
 struct OpAwaiter {
-  Env* env;
+  E* env;
   OpKind kind;
   Location loc;
   std::uint64_t write_value = 0;
@@ -91,21 +97,24 @@ struct OpAwaiter {
 
 /// co_await tas(env, loc) -> true iff this process *won* the TAS (changed
 /// the location's value from 0 to 1; the paper's "wins" convention).
-inline auto tas(Env& env, Location loc) {
-  struct Awaiter : detail::OpAwaiter {
-    bool await_resume() const { return outcome != 0; }
+template <std::derived_from<Env> E>
+auto tas(E& env, Location loc) {
+  struct Awaiter : detail::OpAwaiter<E> {
+    bool await_resume() const { return this->outcome != 0; }
   };
   return Awaiter{{&env, OpKind::kTas, loc}};
 }
 
 /// co_await read(env, loc) -> current 64-bit value of the cell.
-inline detail::OpAwaiter read(Env& env, Location loc) {
-  return detail::OpAwaiter{&env, OpKind::kRead, loc};
+template <std::derived_from<Env> E>
+detail::OpAwaiter<E> read(E& env, Location loc) {
+  return detail::OpAwaiter<E>{&env, OpKind::kRead, loc};
 }
 
 /// co_await write(env, loc, v). Result value is meaningless.
-inline detail::OpAwaiter write(Env& env, Location loc, std::uint64_t v) {
-  return detail::OpAwaiter{&env, OpKind::kWrite, loc, v};
+template <std::derived_from<Env> E>
+detail::OpAwaiter<E> write(E& env, Location loc, std::uint64_t v) {
+  return detail::OpAwaiter<E>{&env, OpKind::kWrite, loc, v};
 }
 
 /// Runs a coroutine to completion over an immediate environment. With a

@@ -8,10 +8,10 @@
 // block on the scheduler and the same coroutine runs to completion
 // synchronously on a real thread.
 //
-// On that hardware path every call allocates coroutine frames (the outer
-// get_name and one try_get_name per batch visited), so the promise takes
-// its frames from a small per-thread recycler (FrameCache below) instead
-// of the global allocator.
+// On that hardware path every ConcurrentRenamer::get_name call allocates
+// one coroutine frame (ReBatching's walk over every batch), so the promise
+// takes its frames from a small per-thread recycler (FrameCache below)
+// instead of the global allocator.
 #pragma once
 
 #include <coroutine>
@@ -19,6 +19,7 @@
 #include <exception>
 #include <new>
 #include <optional>
+#include <stdexcept>
 #include <utility>
 
 namespace loren::sim {
@@ -191,11 +192,13 @@ class [[nodiscard]] Task {
   }
 
   /// Awaiting a Task starts the child coroutine via symmetric transfer and
-  /// resumes the parent when the child completes.
-  auto operator co_await() noexcept {
+  /// resumes the parent when the child completes. Awaiting an empty
+  /// (default-constructed or moved-from) Task throws std::logic_error.
+  auto operator co_await() {
+    if (!handle_) throw std::logic_error("co_await on an empty Task");
     struct Awaiter {
       Handle h;
-      bool await_ready() noexcept { return !h || h.done(); }
+      bool await_ready() noexcept { return h.done(); }
       std::coroutine_handle<> await_suspend(std::coroutine_handle<> cont) noexcept {
         h.promise().continuation = cont;
         return h;

@@ -3,16 +3,40 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <set>
+#include <stdexcept>
 #include <thread>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "renaming/concurrent.h"
+#include "renaming/thread_ctx.h"
+#include "sim/task.h"
 
 namespace loren {
 namespace {
 
 using sim::Name;
+
+// The hardware path compiles against the concrete env: a probe's awaiter
+// holds an ArenaEnv*, so its calls bind statically (BasicDirectEnv is
+// final), not through sim::Env's vtable.
+static_assert(
+    std::is_same_v<decltype(sim::tas(std::declval<ArenaEnv&>(), 0).env),
+                   ArenaEnv*>);
+
+/// Runs `body` on a fresh thread, which starts with an empty frame cache,
+/// pinned to dense slot 0 so its coin stream does not depend on how many
+/// threads the process made before.
+template <class Body>
+void on_fresh_slot0_thread(Body body) {
+  std::thread([&body] {
+    force_thread_slot(0);
+    body();
+  }).join();
+}
 
 TEST(ConcurrentRenamer, SingleThreadAllUnique) {
   constexpr std::uint64_t kN = 512;
@@ -143,6 +167,21 @@ TEST(ConcurrentRenamer, ReturningToARenamerDrawsFreshCoins) {
   EXPECT_LE(repeats, 1);
 }
 
+// get_name builds one coroutine frame per call, whatever batch it wins
+// in: ReBatching walks every batch and the backup sweep in one body, and
+// the probes await the TAS without a frame of their own. The frame goes
+// back to the thread's recycler, so exactly one is cached afterwards.
+TEST(ConcurrentRenamer, GetNameBuildsOneFrame) {
+  ConcurrentRenamer renamer(1024, 0.5);
+  std::size_t cached = 0;
+  on_fresh_slot0_thread([&] {
+    ASSERT_EQ(sim::detail::FrameCache::cached(), 0u);
+    ASSERT_GE(renamer.get_name(), 0);
+    cached = sim::detail::FrameCache::cached();
+  });
+  EXPECT_EQ(cached, 1u);
+}
+
 TEST(ConcurrentRenamer, CapacityMatchesLayout) {
   ConcurrentRenamer renamer(100, 0.5);
   EXPECT_EQ(renamer.capacity(), BatchLayout(100, 0.5).total());
@@ -192,6 +231,29 @@ TEST(AdaptiveConcurrentRenamer, MultiThreaded) {
     }
   }
   EXPECT_EQ(all.size(), static_cast<std::size_t>(kThreads * kPerThread));
+}
+
+// Past max_contention the doubling race reaches an object beyond the
+// preallocated cells: that ReBatching::get_name's ensure_locations throws
+// std::length_error before its walk starts, try_get_name turns it into
+// nullopt and get_name into std::runtime_error. (The stack's own
+// max_object_index valve, the only other way to get no name, lies far
+// past these cells.) With max_contention 4 the cells are R_1 and R_2, 8
+// names; with seed 7 on slot 0 eight calls fill them all.
+TEST(AdaptiveConcurrentRenamer, OverflowIsNulloptThenThrows) {
+  AdaptiveConcurrentRenamer renamer(4, 1.0, 7);
+  ASSERT_EQ(renamer.capacity(), 8u);
+  on_fresh_slot0_thread([&] {
+    std::set<Name> names;
+    for (int i = 1; i <= 8; ++i) {
+      const std::optional<Name> name = renamer.try_get_name();
+      ASSERT_TRUE(name.has_value()) << "call " << i;
+      ASSERT_LT(*name, 8);
+      ASSERT_TRUE(names.insert(*name).second);
+    }
+    EXPECT_EQ(renamer.try_get_name(), std::nullopt);
+    EXPECT_THROW(renamer.get_name(), std::runtime_error);
+  });
 }
 
 TEST(AdaptiveConcurrentRenamer, RejectsZeroCapacity) {

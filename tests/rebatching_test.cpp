@@ -196,6 +196,36 @@ TEST(ReBatching, NoBackupReturnsMinusOneWhenSqueezed) {
   EXPECT_GE(failures, 1u);
 }
 
+// TryGetName(i) walks batch i alone. On a namespace filled in advance
+// every probe loses, so each call makes exactly t_i probes and bumps only
+// entered[i] and failed[i], and never reaches the backup sweep.
+TEST(ReBatching, TryGetNameEntersOnlyItsBatch) {
+  constexpr std::uint64_t kN = 64;
+  ReBatching algo(kN, 0.5);
+  ReBatchingStats stats;
+  algo.attach_stats(&stats);
+  const std::uint64_t batches = algo.layout().num_batches();
+  for (std::uint64_t i = 0; i < batches; ++i) {
+    sim::SimEnv env(1, 11);
+    for (sim::Location loc = 0; loc < algo.end(); ++loc) env.poke(loc, 1);
+    sim::RoundRobinStrategy strat;
+    RunConfig cfg{.num_processes = 1, .seed = 11, .strategy = &strat};
+    const AlgoFactory factory = [&algo, i](Env& e, ProcessId) -> Task<Name> {
+      co_return co_await algo.try_get_name(e, i);
+    };
+    const RunResult r = sim::run_execution(env, factory, cfg);
+    EXPECT_EQ(r.processes[0].name, -1) << "batch " << i;
+    EXPECT_EQ(r.processes[0].steps,
+              static_cast<std::uint64_t>(algo.layout().probes(i)));
+    for (std::uint64_t j = 0; j < batches; ++j) {
+      const std::uint64_t want = j <= i ? 1 : 0;
+      EXPECT_EQ(stats.entered[j], want) << "after batch " << i << ", j=" << j;
+      EXPECT_EQ(stats.failed[j], want) << "after batch " << i << ", j=" << j;
+    }
+    EXPECT_EQ(stats.backup_entries, 0u);
+  }
+}
+
 TEST(ReBatching, CrashesDoNotBreakUniqueness) {
   constexpr std::uint64_t kN = 128;
   for (int mode = 0; mode < 2; ++mode) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -82,6 +83,18 @@ TEST(TaskTest, MoveSemantics) {
   EXPECT_FALSE(t.valid());  // NOLINT(bugprone-use-after-move): move contract
   u.resume();
   EXPECT_EQ(u.result(), 7);
+}
+
+Task<int> awaits_empty() {
+  Task<int> empty;
+  co_return co_await empty;
+}
+
+TEST(TaskTest, AwaitingAnEmptyTaskThrows) {
+  auto t = awaits_empty();
+  t.resume();
+  ASSERT_TRUE(t.done());
+  EXPECT_THROW(t.result(), std::logic_error);
 }
 
 TEST(TaskTest, DestroyingSuspendedTaskIsSafe) {
