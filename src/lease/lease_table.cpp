@@ -1,6 +1,7 @@
 #include "lease/lease_table.h"
 
 #include <algorithm>
+#include <bit>
 
 namespace loren::lease {
 namespace {
@@ -45,6 +46,7 @@ LeaseTable::LeaseTable(const LeaseOptions& opts,
     for (auto& level : s->wheel) {
       for (auto& slot : level) slot = kNil;
     }
+    for (auto& bits : s->occupied) bits = 0;
     for (auto& c : s->cursor) c = 0;
     shards_.push_back(std::move(s));
   }
@@ -91,8 +93,8 @@ void LeaseTable::unlink_locked(Shard& s, std::uint32_t idx) {
 
 std::uint32_t LeaseTable::alloc_record_locked(Shard& s) {
   if (s.live_count >= s.buckets.size()) {
-    // Rehash to double. Only map-linked records (live == true) move; dead
-    // records waiting for their lazy wheel sweep are not in any chain.
+    // Rehash to double. Only map-linked records (live == true) move;
+    // records on the freelist are not in any chain.
     std::vector<std::uint32_t> nb(s.buckets.size() * 2, kNil);
     for (std::uint32_t i = 0; i < s.records.size(); ++i) {
       Record& r = s.records[i];
@@ -115,6 +117,15 @@ std::uint32_t LeaseTable::alloc_record_locked(Shard& s) {
   return idx;
 }
 
+void LeaseTable::free_record_locked(Shard& s, std::uint32_t idx) {
+  unlink_locked(s, idx);
+  Record& r = s.records[idx];
+  r.live = false;
+  r.wnext = s.free_head;
+  s.free_head = idx;
+  --s.live_count;
+}
+
 void LeaseTable::wheel_insert_locked(Shard& s, std::uint32_t idx,
                                      std::uint64_t due,
                                      std::uint64_t now_ticks) {
@@ -122,18 +133,46 @@ void LeaseTable::wheel_insert_locked(Shard& s, std::uint32_t idx,
   const std::uint64_t delta = due - now_ticks;
   // Smallest level whose span (64^(level+1) ticks) covers the delta; far
   // deadlines saturate at the top level and cascade as they approach.
-  // delta >= 64^level at the chosen level, which guarantees the bucket is
-  // strictly ahead of that level's cursor — an armed entry can never be
-  // inserted behind the sweep.
   unsigned level = 0;
   while (level + 1 < kWheelLevels &&
          (delta >> (kWheelBits * (level + 1))) != 0) {
     ++level;
   }
-  const std::uint64_t bucket = due >> (kWheelBits * level);
+  // A pass visits buckets (cursor, now], so only buckets in (cursor,
+  // cursor + 64] come up at their own time; any other would alias to a
+  // slot the sweep reaches a revolution early (a deadline past the
+  // wheel's span) or late (an open whose tick predates the last reap).
+  // Clamped into that window, the entry is visited no later than due and
+  // at most once per revolution before it; the exact check at the visit
+  // re-arms it.
+  const std::uint64_t cur = s.cursor[level];
+  const std::uint64_t bucket = std::clamp(due >> (kWheelBits * level),
+                                          cur + 1, cur + kWheelSlots);
   const auto slot = static_cast<std::uint32_t>(bucket & (kWheelSlots - 1));
-  s.records[idx].wnext = s.wheel[level][slot];
+  Record& r = s.records[idx];
+  const std::uint32_t head = s.wheel[level][slot];
+  r.wnext = head;
+  r.wprev = kNil;
+  r.wpos = static_cast<std::uint16_t>(level * kWheelSlots + slot);
+  if (head != kNil) s.records[head].wprev = idx;
   s.wheel[level][slot] = idx;
+  // Stored only on a change: an insert into an occupied slot, the common
+  // case, reads the bitmap without dirtying it.
+  const std::uint64_t bit = std::uint64_t{1} << slot;
+  if ((s.occupied[level] & bit) == 0) s.occupied[level] |= bit;
+}
+
+void LeaseTable::wheel_unlink_locked(Shard& s, std::uint32_t idx) {
+  const Record& r = s.records[idx];
+  if (r.wnext != kNil) s.records[r.wnext].wprev = r.wprev;
+  if (r.wprev != kNil) {
+    s.records[r.wprev].wnext = r.wnext;
+    return;
+  }
+  const unsigned level = r.wpos / kWheelSlots;
+  const unsigned slot = r.wpos % kWheelSlots;
+  s.wheel[level][slot] = r.wnext;
+  if (r.wnext == kNil) s.occupied[level] &= ~(std::uint64_t{1} << slot);
 }
 
 std::uint64_t LeaseTable::effective_deadline_locked(const Record& rec) const {
@@ -156,43 +195,40 @@ void LeaseTable::advance_locked(Shard& s, std::uint64_t now_ticks,
     const std::uint64_t cur = s.cursor[level];
     if (now_b <= cur) continue;
     const std::uint64_t steps = now_b - cur;
-    // A jump past a whole revolution visits each slot exactly once; the
-    // modular indices would only repeat. Bounds a pass at
-    // kWheelLevels * kWheelSlots slot drains regardless of clock jumps.
-    const std::uint64_t nslots = steps >= kWheelSlots ? kWheelSlots : steps;
-    for (std::uint64_t k = 1; k <= nslots; ++k) {
-      const auto slot =
-          static_cast<std::uint32_t>((cur + k) & (kWheelSlots - 1));
+    // Advanced first, so that a lease re-armed at this level below is
+    // placed against the cursor the next pass starts from.
+    s.cursor[level] = now_b;
+    // The occupied slots the clock crossed, rotated so that bit k-1 is
+    // slot cur + k: walking set bits upward visits them in crossing
+    // order. A jump past a whole revolution visits each slot once.
+    std::uint64_t due = std::rotr(
+        s.occupied[level], static_cast<int>((cur + 1) & (kWheelSlots - 1)));
+    if (steps < kWheelSlots) due &= (std::uint64_t{1} << steps) - 1;
+    for (; due != 0; due &= due - 1) {
+      const auto slot = static_cast<std::uint32_t>(
+          (cur + 1 + static_cast<unsigned>(std::countr_zero(due))) &
+          (kWheelSlots - 1));
       std::uint32_t i = s.wheel[level][slot];
       s.wheel[level][slot] = kNil;
+      s.occupied[level] &= ~(std::uint64_t{1} << slot);
       while (i != kNil) {
-        const std::uint32_t next = s.records[i].wnext;
         Record& r = s.records[i];
-        r.wnext = kNil;
-        if (!r.live) {
-          // Lazily deleted (closed): the wheel entry was its last ref.
-          r.wnext = s.free_head;
-          s.free_head = i;
-        } else if (const std::uint64_t eff = effective_deadline_locked(r);
-                   eff > now_ticks) {
+        const std::uint32_t next = r.wnext;
+        if (const std::uint64_t eff = effective_deadline_locked(r);
+            eff > now_ticks) {
           // Renewed (explicitly or via heartbeat): re-arm at the fresher
           // deadline. This exactness check is what makes early expiry
           // impossible — the wheel position is only a visit time.
           wheel_insert_locked(s, i, eff, now_ticks);
         } else {
-          unlink_locked(s, i);
-          r.live = false;
-          --s.live_count;
           ++s.expired;
           out.push_back(r.name);
           late.push_back(now_ticks - eff);
-          r.wnext = s.free_head;
-          s.free_head = i;
+          free_record_locked(s, i);
         }
         i = next;
       }
     }
-    s.cursor[level] = now_b;
   }
 }
 
@@ -250,9 +286,8 @@ bool LeaseTable::close(sim::Name name, const Heartbeat* hb,
       ++s.guard_trips;
       ok = false;
     } else {
-      unlink_locked(s, idx);
-      s.records[idx].live = false;  // the wheel recycles it lazily
-      --s.live_count;
+      wheel_unlink_locked(s, idx);
+      free_record_locked(s, idx);
       ++s.closed;
       ok = true;
     }
@@ -312,6 +347,17 @@ bool LeaseTable::validate(sim::Name name, const Heartbeat* hb) {
 
 std::size_t LeaseTable::reap(std::uint64_t now_ticks,
                              telemetry::MetricsRegistry::ThreadStripe* stripe) {
+  return reap_pass(now_ticks, stripe, /*wait=*/true);
+}
+
+std::size_t LeaseTable::try_reap(std::uint64_t now_ticks,
+                                 telemetry::MetricsRegistry::ThreadStripe* stripe) {
+  return reap_pass(now_ticks, stripe, /*wait=*/false);
+}
+
+std::size_t LeaseTable::reap_pass(std::uint64_t now_ticks,
+                                  telemetry::MetricsRegistry::ThreadStripe* stripe,
+                                  bool wait) {
   LOREN_SIM_POINT("lease.reap");
   std::size_t reclaimed = 0;
   std::vector<sim::Name> names;
@@ -321,27 +367,14 @@ std::size_t LeaseTable::reap(std::uint64_t now_ticks,
     names.clear();
     late.clear();
     {
-      std::lock_guard<SimMutex> lock(s.mu);
+      std::unique_lock<SimMutex> lock(s.mu, std::defer_lock);
+      if (wait) {
+        lock.lock();
+      } else if (!lock.try_lock()) {
+        continue;  // someone else is reaping this shard
+      }
       advance_locked(s, now_ticks, names, late);
     }
-    reclaimed += finish_reap(names, late, stripe);
-  }
-  return reclaimed;
-}
-
-std::size_t LeaseTable::try_reap(std::uint64_t now_ticks,
-                                 telemetry::MetricsRegistry::ThreadStripe* stripe) {
-  LOREN_SIM_POINT("lease.reap");
-  std::size_t reclaimed = 0;
-  std::vector<sim::Name> names;
-  std::vector<std::uint64_t> late;
-  for (auto& sp : shards_) {
-    Shard& s = *sp;
-    if (!s.mu.try_lock()) continue;  // someone else is reaping this shard
-    names.clear();
-    late.clear();
-    advance_locked(s, now_ticks, names, late);
-    s.mu.unlock();
     reclaimed += finish_reap(names, late, stripe);
   }
   return reclaimed;
@@ -358,6 +391,7 @@ void LeaseTable::clear() {
     for (auto& level : s.wheel) {
       for (auto& slot : level) slot = kNil;
     }
+    for (auto& bits : s.occupied) bits = 0;
     for (auto& c : s.cursor) c = 0;
   }
 }

@@ -17,11 +17,16 @@
 // the shard lock, so records need no atomics; the only lock-free word in
 // the subsystem is the per-thread Heartbeat stamp. The timer wheel is the
 // classic hashed hierarchical design (4 levels x 64 slots): insertion
-// O(1) into the level whose span covers the remaining delta, advancement
-// bounded at 64 slots per level per pass, entries cascading toward level
-// 0 as their deadline approaches. Expiry checks are exact at the moment
-// of expiry — the wheel only schedules *examination* times, and a lease
-// whose effective deadline moved (renew or heartbeat) is re-armed, never
+// O(1) into the level whose span covers the remaining delta, entries
+// cascading toward level 0 as their deadline approaches. A deadline past
+// the wheel's span parks one revolution out at the top level and is
+// re-armed there once per revolution. Slot chains are doubly linked, so
+// close() takes a lease off the wheel at once, and a per-level occupancy
+// bitmap lets a reap pass walk only the occupied slots the clock crossed:
+// a poll costs the leases that are due, not the slots or the closed
+// leases behind it. Expiry checks are exact at the moment of expiry —
+// the wheel only schedules *examination* times, and a lease whose
+// effective deadline moved (renew or heartbeat) is re-armed, never
 // expired early. A lease can therefore expire late (by up to one reap
 // poll interval), but never early: "zero false expiries of live renewing
 // holders" is structural, not probabilistic.
@@ -176,6 +181,8 @@ class LeaseTable {
   [[nodiscard]] std::uint64_t guard_trips() const;
 
  private:
+  friend struct LeaseTablePeer;  // white-box wheel checks (lease_test)
+
   static constexpr std::uint32_t kNil = 0xFFFFFFFFu;
   static constexpr unsigned kWheelBits = 6;
   static constexpr std::uint32_t kWheelSlots = 1u << kWheelBits;
@@ -187,8 +194,10 @@ class LeaseTable {
     std::uint64_t deadline = 0;  // open/renew tick + ttl (grace excluded)
     const Heartbeat* hb = nullptr;
     std::uint32_t hnext = kNil;  // hash-chain link
-    std::uint32_t wnext = kNil;  // wheel-slot chain link
-    bool live = false;           // false = closed, awaiting lazy wheel sweep
+    std::uint32_t wnext = kNil;  // wheel-slot chain link (freelist link)
+    std::uint32_t wprev = kNil;  // wheel-slot back link (kNil at the head)
+    std::uint16_t wpos = 0;      // wheel position: level * kWheelSlots + slot
+    bool live = false;           // false = on the freelist
   };
 
   struct alignas(kCacheLine) Shard {
@@ -197,9 +206,11 @@ class LeaseTable {
     std::vector<Record> records;
     std::uint32_t free_head = kNil;  // freelist through Record::wnext
     std::uint32_t live_count = 0;
-    // Timer wheel: slot chains per level + per-level cursor (the last
-    // fully processed absolute bucket index at that level's granularity).
+    // Timer wheel: slot chains per level, a bitmap per level of the
+    // non-empty slots, and a per-level cursor (the last fully processed
+    // absolute bucket index at that level's granularity).
     std::uint32_t wheel[kWheelLevels][kWheelSlots];
+    std::uint64_t occupied[kWheelLevels];
     std::uint64_t cursor[kWheelLevels];
     // Monotonic tallies (exact: every transition happens under mu).
     std::uint64_t opened = 0;
@@ -214,8 +225,12 @@ class LeaseTable {
   std::uint32_t find_locked(Shard& s, sim::Name name) const;
   void unlink_locked(Shard& s, std::uint32_t idx);
   std::uint32_t alloc_record_locked(Shard& s);
+  /// Takes a live record out of the hash map onto the freelist; the
+  /// caller has already taken it off the wheel.
+  void free_record_locked(Shard& s, std::uint32_t idx);
   void wheel_insert_locked(Shard& s, std::uint32_t idx, std::uint64_t due,
                            std::uint64_t now_ticks);
+  void wheel_unlink_locked(Shard& s, std::uint32_t idx);
   [[nodiscard]] std::uint64_t effective_deadline_locked(
       const Record& rec) const;
   /// Advances the shard's wheel to now, expiring stale leases; appends
@@ -223,6 +238,11 @@ class LeaseTable {
   void advance_locked(Shard& s, std::uint64_t now_ticks,
                       std::vector<sim::Name>& out,
                       std::vector<std::uint64_t>& late);
+  /// One reap pass over every shard; `wait` selects lock() over
+  /// try_lock() (reap() vs try_reap()).
+  std::size_t reap_pass(std::uint64_t now_ticks,
+                        telemetry::MetricsRegistry::ThreadStripe* stripe,
+                        bool wait);
   /// Post-lock half of a reap pass: telemetry + reclaim callbacks for
   /// the names advance_locked() expired. Runs outside every shard lock.
   std::size_t finish_reap(const std::vector<sim::Name>& names,

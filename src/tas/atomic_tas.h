@@ -58,12 +58,13 @@ class AtomicTasArray {
   /// Not thread-safe; for reuse between single-threaded experiment rounds.
   /// O(size) — TasArena (tas_arena.h) resets in O(1) via an epoch bump.
   void reset() {
+    // Release stores rather than relaxed ones and a trailing fence: each
+    // cleared cell then publishes itself to the acquiring exchange or
+    // load that next reads it, an edge ThreadSanitizer can see (GCC
+    // rejects atomic_thread_fence under -fsanitize=thread).
     for (std::uint64_t i = 0; i < size_; ++i) {
-      // mo:relaxed-ok(reset() requires external quiescence; the trailing
-      // seq_cst fence publishes the cleared cells)
-      cells_[i].store(0, std::memory_order_relaxed);
+      cells_[i].store(0, std::memory_order_release);
     }
-    std::atomic_thread_fence(std::memory_order_seq_cst);
   }
 
  private:

@@ -12,25 +12,85 @@
 //     stale leases expire at stamp + ttl + grace;
 //   * wheel cascade math — deadlines spanning all four wheel levels
 //     (deltas around the 64 / 4096 / 262144 level boundaries) expire in
-//     deadline order across coarse clock jumps, each exactly once;
+//     deadline order across coarse clock jumps, each exactly once, and
+//     deadlines past the wheel's 64^4-tick span expire exactly on time,
+//     and a lease opened with a tick older than the last reap is not
+//     parked a revolution late;
+//   * wheel bookkeeping (white-box, via LeaseTablePeer) — a closed lease
+//     leaves its slot chain at once and its record is reused, expiries
+//     across the slot 63 -> 0 wrap come out in deadline order, and
+//     concurrent churn with op-path polls keeps every count exact;
 //   * service integration (both services) — abandoned names are reaped
 //     back into the arena and become re-acquirable, a revived holder's
 //     late release is rejected, renew_lease reports kLeaseExpired.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <mutex>
 #include <set>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "elastic/elastic_service.h"
 #include "lease/lease_table.h"
 #include "renaming/service.h"
 
+namespace loren::lease {
+
+/// White-box view of a LeaseTable's shards, read under each shard lock.
+struct LeaseTablePeer {
+  /// Records chained in any wheel slot, over every shard. Also checks
+  /// that each level's occupancy bit is set iff its slot is non-empty.
+  static std::uint64_t wheel_chained(const LeaseTable& t) {
+    std::uint64_t total = 0;
+    for (const auto& sp : t.shards_) {
+      std::lock_guard<SimMutex> lock(sp->mu);
+      for (unsigned level = 0; level < LeaseTable::kWheelLevels; ++level) {
+        for (unsigned slot = 0; slot < LeaseTable::kWheelSlots; ++slot) {
+          const std::uint32_t head = sp->wheel[level][slot];
+          EXPECT_EQ((sp->occupied[level] >> slot) & 1u,
+                    head != LeaseTable::kNil ? 1u : 0u)
+              << "occupancy bit of level " << level << " slot " << slot;
+          for (std::uint32_t i = head; i != LeaseTable::kNil;
+               i = sp->records[i].wnext) {
+            ++total;
+          }
+        }
+      }
+    }
+    return total;
+  }
+
+  /// Per shard: records ever allocated (the pool) and leases live now.
+  static std::vector<std::uint64_t> pool_sizes(const LeaseTable& t) {
+    std::vector<std::uint64_t> out;
+    for (const auto& sp : t.shards_) {
+      std::lock_guard<SimMutex> lock(sp->mu);
+      out.push_back(sp->records.size());
+    }
+    return out;
+  }
+  static std::vector<std::uint64_t> live_counts(const LeaseTable& t) {
+    std::vector<std::uint64_t> out;
+    for (const auto& sp : t.shards_) {
+      std::lock_guard<SimMutex> lock(sp->mu);
+      out.push_back(sp->live_count);
+    }
+    return out;
+  }
+};
+
+}  // namespace loren::lease
+
 namespace loren {
 namespace {
+
+using lease::LeaseTablePeer;
 
 using sim::Name;
 
@@ -231,6 +291,179 @@ TEST_F(LeaseUnit, ClearDropsEverythingWithoutReclaiming) {
   g_now += 1000;
   EXPECT_EQ(t.reap(t.now(), nullptr), 0u);
   EXPECT_TRUE(rec.names.empty()) << "clear() must not reclaim cells";
+}
+
+TEST_F(LeaseUnit, ClosedLeaseLeavesTheWheelAtOnce) {
+  // The clock never moves, so no reap could recycle anything: a closed
+  // lease must leave its slot chain, and its record must be reused,
+  // inside close() itself.
+  lease::LeaseTable t(opts_with(/*ttl=*/1000), nullptr);
+  g_now = 77;
+  std::vector<std::uint64_t> peak(LeaseTablePeer::live_counts(t).size(), 0);
+  constexpr Name kBatch = 100;
+  for (Name base = 0; base < 10000; base += kBatch) {
+    for (Name n = base; n < base + kBatch; ++n) {
+      t.open(n, t.now(), nullptr, nullptr);
+    }
+    ASSERT_EQ(LeaseTablePeer::wheel_chained(t), t.leases_live());
+    const std::vector<std::uint64_t> live = LeaseTablePeer::live_counts(t);
+    for (std::size_t i = 0; i < live.size(); ++i) {
+      peak[i] = std::max(peak[i], live[i]);
+    }
+    for (Name n = base; n < base + kBatch; ++n) {
+      ASSERT_TRUE(t.close(n, nullptr, nullptr));
+    }
+  }
+  EXPECT_EQ(t.leases_live(), 0u);
+  EXPECT_EQ(LeaseTablePeer::wheel_chained(t), t.leases_live())
+      << "closed leases are still chained in the wheel";
+  const std::vector<std::uint64_t> pool = LeaseTablePeer::pool_sizes(t);
+  for (std::size_t i = 0; i < pool.size(); ++i) {
+    EXPECT_LE(pool[i], peak[i]) << "shard " << i
+                                << " grew its record pool past peak live";
+  }
+}
+
+TEST_F(LeaseUnit, DeadlinePastTheWheelSpanExpiresOnTime) {
+  // The wheel spans 64^4 = 2^24 ticks; these deadlines lie at and past
+  // it, so the top level parks them and re-arms them once per
+  // revolution. Clock steps of 2^17 and 2^18 (half and one top-level
+  // slot) and an unaligned 987654 each walk the clock up to the deadline,
+  // landing once on deadline - 1 and once on the deadline.
+  const std::uint64_t grace = std::uint64_t{1} << 20;
+  const std::vector<std::uint64_t> ttls = {
+      std::uint64_t{1} << 24, (std::uint64_t{1} << 24) + 12345,
+      std::uint64_t{1} << 26, 3 * (std::uint64_t{1} << 27)};
+  const std::vector<std::uint64_t> strides = {std::uint64_t{1} << 17,
+                                              std::uint64_t{1} << 18, 987654};
+  const std::uint64_t base = 5'000'017;
+  for (const std::uint64_t ttl : ttls) {
+    for (const std::uint64_t stride : strides) {
+      SCOPED_TRACE("ttl " + std::to_string(ttl) + " stride " +
+                   std::to_string(stride));
+      Reclaimed rec;
+      lease::LeaseTable t(opts_with(ttl, grace), nullptr);
+      t.set_reclaimer(&Reclaimed::sink, &rec);
+      g_now = base;
+      t.open(42, t.now(), nullptr, nullptr);
+      const std::uint64_t deadline = base + ttl + grace;
+      for (std::uint64_t now = base; now < deadline - 1;) {
+        now = std::min(now + stride, deadline - 1);
+        g_now = now;
+        ASSERT_EQ(t.reap(t.now(), nullptr), 0u) << "expired early at " << now;
+      }
+      EXPECT_EQ(t.leases_live(), 1u);
+      g_now = deadline;
+      EXPECT_EQ(t.reap(t.now(), nullptr), 1u) << "failed to expire on time";
+      EXPECT_EQ(t.leases_live(), 0u);
+      EXPECT_EQ(rec.names, std::vector<Name>{42});
+    }
+  }
+}
+
+TEST_F(LeaseUnit, OpenStampedBeforeTheLastReapIsNotParkedARevolutionLate) {
+  // A service reads the clock before it takes the shard lock, so a reap
+  // with a later tick can advance the cursor first. The lease's bucket
+  // then lies at or behind that level's cursor; it must come up on the
+  // level's next bucket, not when the sweep wraps round to its slot.
+  const std::uint64_t base = 3 * (std::uint64_t{1} << 24) + 12345;
+  for (unsigned level = 0; level < 4; ++level) {
+    SCOPED_TRACE("level " + std::to_string(level));
+    const unsigned shift = 6 * level;
+    const std::uint64_t width = std::uint64_t{1} << shift;
+    Reclaimed rec;
+    lease::LeaseTable t(opts_with(/*ttl=*/2 * width), nullptr);
+    t.set_reclaimer(&Reclaimed::sink, &rec);
+    g_now = base;
+    EXPECT_EQ(t.reap(t.now(), nullptr), 0u);  // cursors up to base
+    t.open(9, base - 2 * width, nullptr, nullptr);  // deadline == base
+    g_now = ((base >> shift) + 1) << shift;  // the level's next bucket
+    EXPECT_EQ(t.reap(t.now(), nullptr), 1u) << "parked behind the cursor";
+  }
+}
+
+TEST_F(LeaseUnit, ReapOrderHoldsAcrossTheSlotWrap) {
+  // One lease per slot in slots 60..63, 0..3 of level 0 (ttl 10, one
+  // tick apart) and then of level 1 (ttl 640, one 64-tick slot apart).
+  // One reap past every deadline must surface them in deadline order,
+  // so the walk must cross the wrap the way the clock does.
+  for (unsigned level = 0; level < 2; ++level) {
+    SCOPED_TRACE("level " + std::to_string(level));
+    const std::uint64_t width = std::uint64_t{1} << (6 * level);
+    const std::uint64_t ttl = 10 * width;
+    lease::LeaseOptions o = opts_with(ttl);
+    o.table_shards = 1;  // one shard: one expiry order across all names
+    Reclaimed rec;
+    lease::LeaseTable t(o, nullptr);
+    t.set_reclaimer(&Reclaimed::sink, &rec);
+    const std::uint64_t first_due = (64 * 1000 + 60) * width;
+    g_now = first_due - ttl;
+    EXPECT_EQ(t.reap(t.now(), nullptr), 0u);  // cursors up to the clock
+    std::vector<Name> expected;
+    for (Name j = 0; j < 8; ++j) {
+      g_now = first_due + static_cast<std::uint64_t>(j) * width - ttl;
+      t.open(j, t.now(), nullptr, nullptr);
+      expected.push_back(j);
+    }
+    g_now = first_due + 8 * width;
+    EXPECT_EQ(t.reap(t.now(), nullptr), 8u);
+    EXPECT_EQ(rec.names, expected);
+  }
+}
+
+TEST_F(LeaseUnit, ConcurrentChurnWithPollsKeepsCountsExact) {
+  // Four holders churn their own names on one shared clock (one tick per
+  // op) and poll try_reap() every 64 ops, as the services' op path does.
+  // Most names close after one op; every 16th is held for 100 ops, past
+  // the 32-tick ttl, so the polls expire some of them under the holder.
+  constexpr int kThreads = 4;
+  constexpr int kOps = 20000;
+  struct Counting {
+    std::atomic<std::uint64_t> reclaimed{0};
+    static bool sink(void* ctx, Name) {
+      static_cast<Counting*>(ctx)->reclaimed.fetch_add(
+          1, std::memory_order_relaxed);
+      return true;
+    }
+  } counting;
+  lease::LeaseTable t(opts_with(/*ttl=*/32), nullptr);
+  t.set_reclaimer(&Counting::sink, &counting);
+  std::atomic<std::uint64_t> closes{0};
+  std::atomic<std::uint64_t> rejected{0};
+  std::vector<std::thread> threads;
+  for (int tid = 0; tid < kThreads; ++tid) {
+    threads.emplace_back([&, tid] {
+      lease::Heartbeat& hb = t.register_thread();
+      std::vector<std::pair<Name, int>> held;  // name, op to close it at
+      std::uint64_t ok = 0;
+      std::uint64_t bad = 0;
+      auto close_one = [&](Name n) { (t.close(n, &hb, nullptr) ? ok : bad)++; };
+      for (int op = 0; op < kOps; ++op) {
+        g_now.fetch_add(1, std::memory_order_relaxed);
+        const Name n = (static_cast<Name>(tid) << 32) | op;
+        t.open(n, t.now(), &hb, nullptr);
+        held.emplace_back(n, op + (op % 16 == 0 ? 100 : 1));
+        std::erase_if(held, [&](const std::pair<Name, int>& h) {
+          if (h.second > op) return false;
+          close_one(h.first);
+          return true;
+        });
+        if ((op & 63) == 63) t.try_reap(t.now(), nullptr);
+      }
+      for (const auto& h : held) close_one(h.first);
+      closes.fetch_add(ok, std::memory_order_relaxed);
+      rejected.fetch_add(bad, std::memory_order_relaxed);
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(t.opened(), static_cast<std::uint64_t>(kThreads) * kOps);
+  EXPECT_EQ(closes.load() + t.expired(), t.opened());
+  EXPECT_EQ(rejected.load(), t.expired()) << "each expired lease's close trips";
+  EXPECT_EQ(t.guard_trips(), rejected.load());
+  EXPECT_EQ(counting.reclaimed.load(), t.expired());
+  EXPECT_GT(t.expired(), 0u) << "no lease outlived its ttl under churn";
+  EXPECT_EQ(t.leases_live(), 0u);
+  EXPECT_EQ(LeaseTablePeer::wheel_chained(t), 0u);
 }
 
 // ---------------------------------------------- service integration ----
