@@ -697,6 +697,63 @@ TEST_F(LeaseService, ElasticServiceRejectsLateReleaseAndRenewAfterExpiry) {
   EXPECT_TRUE(svc.release(other));
 }
 
+// A foreign release under leasing: thread B presents a name thread A holds.
+// Both release surfaces must reject it with one guard trip each and leave
+// A's cell taken, whether B's stash would absorb the name (cache on: the
+// lease rebind refuses) or the name goes to the shared path (cache off:
+// the lease close refuses). A's own release then succeeds.
+template <class Service, class Options>
+void expect_foreign_release_rejected(Options opts) {
+  for (const bool cache : {false, true}) {
+    SCOPED_TRACE(cache ? "name cache on" : "name cache off");
+    opts.name_cache = cache;
+    Service svc(64, opts);
+    const Name n = svc.acquire();  // thread A: the main thread
+    ASSERT_GE(n, 0);
+    bool released = true;
+    std::uint64_t freed = 1;
+    std::uint64_t trips_after_release = 0;
+    std::uint64_t live_after_release = 0;
+    std::thread b([&] {
+      released = svc.release(n);
+      trips_after_release = svc.lease_guard_trips();
+      live_after_release = svc.names_live();
+      freed = svc.release_many(&n, 1);
+    });
+    b.join();
+    EXPECT_FALSE(released) << "a foreign release() freed a held name";
+    EXPECT_EQ(trips_after_release, 1u);
+    EXPECT_EQ(live_after_release, 1u);
+    EXPECT_EQ(freed, 0u) << "a foreign release_many() freed a held name";
+    EXPECT_EQ(svc.lease_guard_trips(), 2u);
+    EXPECT_EQ(svc.names_live(), 1u) << "the holder's cell was freed";
+    EXPECT_EQ(svc.leases_live(), 1u);
+    EXPECT_TRUE(svc.release(n)) << "the holder's own release was rejected";
+    svc.flush_thread_cache();
+    EXPECT_EQ(svc.names_live(), 0u);
+    EXPECT_EQ(svc.lease_guard_trips(), 2u);
+  }
+}
+
+TEST_F(LeaseService, ForeignReleaseIsRejectedOnBothServices) {
+  {
+    SCOPED_TRACE("RenamingService");
+    RenamingServiceOptions opts;
+    opts.lease = opts_with(/*ttl=*/1000);
+    expect_foreign_release_rejected<RenamingService>(opts);
+  }
+  {
+    SCOPED_TRACE("ElasticRenamingService");
+    ElasticOptions opts;
+    opts.min_holders = 64;
+    opts.max_holders = 256;
+    opts.auto_grow = false;
+    opts.auto_shrink = false;
+    opts.lease = opts_with(/*ttl=*/1000);
+    expect_foreign_release_rejected<ElasticRenamingService>(opts);
+  }
+}
+
 TEST_F(LeaseService, StashAbsorbedNamesStayLeasedAndReapable) {
   // With the cache on, a release parks the name in the stash (cell stays
   // taken, lease stays open, rebound to the stashing thread). If that
