@@ -1,5 +1,5 @@
 // BasicDirectEnv: run the coroutine algorithms directly over any hardware
-// shared-memory substrate (AtomicTasArray, TasArena, ...).
+// shared-memory substrate (TasArena, BitmapArena, ...).
 //
 // The substrate must expose test_and_set(i) -> bool, read(i) -> u64,
 // write(i, v), and size(). Operations execute immediately inside

@@ -1,7 +1,7 @@
 // TasArena: the cache-conscious hardware TAS substrate.
 //
-// AtomicTasArray packs eight TAS cells into every 64-byte cache line, so
-// under real concurrency every win ping-pongs the line under seven
+// A plain std::atomic array packs eight TAS cells into every 64-byte
+// cache line, so under real concurrency every win ping-pongs the line under seven
 // innocent neighbours (false sharing), and reusing a namespace means
 // zeroing (or reallocating) all m cells. TasArena fixes both:
 //
@@ -152,9 +152,8 @@ class TasArena {
   }
 
   /// O(1) full-namespace reset: bump the epoch so every stamp goes stale.
-  /// Same contract as AtomicTasArray::reset(): not safe concurrently with
-  /// in-flight test_and_set/release (an in-flight op may land in either
-  /// epoch); callers quiesce first.
+  /// Not safe concurrently with in-flight test_and_set/release (an
+  /// in-flight op may land in either epoch); callers quiesce first.
   void reset() {
     // sim:exempt(reset() requires external quiescence; nothing races it)
     epoch_.fetch_add(1, std::memory_order_acq_rel);

@@ -1,18 +1,20 @@
-// Tests for the TAS substrates: atomic arrays, DirectEnv, and the
-// read/write TAS protocols (two-process racing consensus, tournament tree,
-// sifter). The RW protocols are hammered under adversarial simulated
+// Tests for the TAS substrates: ArenaEnv (BasicDirectEnv over a TasArena)
+// and the read/write TAS protocols (two-process racing consensus,
+// tournament tree, sifter). The RW protocols are hammered under adversarial simulated
 // schedules across many seeds: safety (at most one winner) must never
 // depend on the coin flips or the schedule.
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <thread>
+#include <stdexcept>
 #include <vector>
 
 #include "sim/runner.h"
 #include "sim/scheduler.h"
-#include "tas/atomic_tas.h"
+#include "renaming/rebatching.h"
+#include "tas/direct_env.h"
 #include "tas/rw_tas.h"
+#include "tas/tas_arena.h"
 #include "tas/tas_service.h"
 
 namespace loren {
@@ -26,77 +28,37 @@ using sim::RunConfig;
 using sim::RunResult;
 using sim::Task;
 
-// ---------------------------------------------------- AtomicTasArray ----
+// ------------------------------------------------------------ ArenaEnv ----
 
-TEST(AtomicTasArray, FirstCallWins) {
-  AtomicTasArray arr(4);
-  EXPECT_TRUE(arr.test_and_set(2));
-  EXPECT_FALSE(arr.test_and_set(2));
-  EXPECT_TRUE(arr.test_and_set(3));
-}
-
-TEST(AtomicTasArray, ResetClears) {
-  AtomicTasArray arr(2);
-  EXPECT_TRUE(arr.test_and_set(0));
-  arr.reset();
-  EXPECT_TRUE(arr.test_and_set(0));
-}
-
-TEST(AtomicTasArray, ReadWriteRoundTrip) {
-  AtomicTasArray arr(2);
-  arr.write(1, 99);
-  EXPECT_EQ(arr.read(1), 99u);
-}
-
-TEST(AtomicTasArray, ConcurrentExactlyOneWinnerPerCell) {
-  constexpr int kThreads = 8;
-  constexpr int kCells = 64;
-  AtomicTasArray arr(kCells);
-  std::vector<int> wins(kThreads, 0);
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      for (int c = 0; c < kCells; ++c) wins[t] += arr.test_and_set(c) ? 1 : 0;
-    });
-  }
-  for (auto& th : threads) th.join();
-  int total = 0;
-  for (int w : wins) total += w;
-  EXPECT_EQ(total, kCells);  // every cell won exactly once
-}
-
-// ----------------------------------------------------------- DirectEnv ----
-
-TEST(DirectEnv, ExecutesImmediately) {
-  AtomicTasArray arr(4);
+TEST(ArenaEnv, ExecutesImmediately) {
+  TasArena arena(4);
   Xoshiro256 rng(1);
-  DirectEnv env(arr, rng, 0);
+  ArenaEnv env(arena, rng, 0);
   EXPECT_TRUE(env.immediate());
   EXPECT_EQ(env.execute_now(sim::OpKind::kTas, 1, 0), 1u);
   EXPECT_EQ(env.execute_now(sim::OpKind::kTas, 1, 0), 0u);
   EXPECT_EQ(env.steps(), 2u);
 }
 
-TEST(DirectEnv, EnsureLocationsChecksCapacity) {
-  AtomicTasArray arr(4);
+TEST(ArenaEnv, EnsureLocationsChecksCapacity) {
+  TasArena arena(4);
   Xoshiro256 rng(1);
-  DirectEnv env(arr, rng, 0);
+  ArenaEnv env(arena, rng, 0);
   EXPECT_NO_THROW(env.ensure_locations(4));
   EXPECT_THROW(env.ensure_locations(5), std::length_error);
 }
 
-TEST(DirectEnv, PostIsForbidden) {
-  AtomicTasArray arr(1);
+TEST(ArenaEnv, PostIsForbidden) {
+  TasArena arena(1);
   Xoshiro256 rng(1);
-  DirectEnv env(arr, rng, 0);
+  ArenaEnv env(arena, rng, 0);
   EXPECT_THROW(env.post(sim::PendingOp{}), std::logic_error);
 }
 
-TEST(DirectEnv, CoroutineRunsSynchronously) {
-  AtomicTasArray arr(2);
+TEST(ArenaEnv, CoroutineRunsSynchronously) {
+  TasArena arena(2);
   Xoshiro256 rng(1);
-  DirectEnv env(arr, rng, 0);
+  ArenaEnv env(arena, rng, 0);
   auto algo = [](Env& e) -> Task<Name> {
     if (co_await sim::tas(e, 0)) co_return 0;
     co_return -1;
