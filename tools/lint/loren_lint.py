@@ -19,12 +19,9 @@ Usage:
   loren_lint.py --selftest <fixture-dir>       # golden-corpus self-check
   loren_lint.py --root <repo> --list           # dump scanned files + scopes
 
-Engines: `--engine lex` (default) is the self-contained lexical extractor
-(model.py); `--engine clang` uses libclang via python3-clang
-(clang_engine.py) and fails loudly when unavailable; `--engine auto`
-prefers clang, falls back to lex. The compile database, when given, is
-used to cross-check that every compiled source under src/ was scanned
-(and feeds compile flags to the clang engine).
+Extraction is the self-contained lexical model (model.py). The compile
+database, when given, is used to cross-check that every compiled source
+under src/ was scanned.
 
 Exit codes: 0 clean, 1 findings (or selftest mismatch), 2 usage/internal
 error.
@@ -128,32 +125,13 @@ def compdb_cross_check(compdb_path, root, scanned):
     return notes
 
 
-def make_extractor(engine_name, compdb_dir):
-    if engine_name == "lex":
-        return model.extract_file, "lex"
-    import clang_engine
-    if engine_name == "clang":
-        if not clang_engine.available():
-            # Surface the precise reason.
-            clang_engine._import_cindex()
-        return (lambda p: clang_engine.extract_file(p, compdb_dir)), "clang"
-    # auto
-    if clang_engine.available():
-        return (lambda p: clang_engine.extract_file(p, compdb_dir)), "clang"
-    return model.extract_file, "lex"
-
-
 def run_project(args):
     root = os.path.abspath(args.root)
     files = collect_files(root)
     if not files:
         print(f"loren-lint: no sources under {root}", file=sys.stderr)
         return 2
-    compdb_dir = os.path.dirname(os.path.abspath(args.compdb)) \
-        if args.compdb else None
-    extract, engine = make_extractor(args.engine, compdb_dir)
-
-    extractions = [extract(p) for p in files]
+    extractions = [model.extract_file(p) for p in files]
     ctx = rules.RuleContext(extractions, project_scopes(root))
     findings = rules.run_all(ctx, only=args.rules)
 
@@ -171,10 +149,10 @@ def run_project(args):
         print(f.render(root))
     n_files = len(files)
     if findings or hard_notes:
-        print(f"loren-lint[{engine}]: {len(findings)} finding(s) over "
+        print(f"loren-lint: {len(findings)} finding(s) over "
               f"{n_files} files", file=sys.stderr)
         return 1
-    print(f"loren-lint[{engine}]: clean over {n_files} files",
+    print(f"loren-lint: clean over {n_files} files",
           file=sys.stderr)
     return 0
 
@@ -192,8 +170,7 @@ def run_selftest(args):
     if not files:
         print(f"loren-lint: no fixtures under {fdir}", file=sys.stderr)
         return 2
-    extract, engine = make_extractor(args.engine, None)
-    extractions = [extract(p) for p in files]
+    extractions = [model.extract_file(p) for p in files]
     # Fixtures are in scope for every rule.
     scopes = {rid: (lambda p: True) for rid in rules.ALL_RULE_IDS}
     ctx = rules.RuleContext(extractions, scopes)
@@ -216,10 +193,10 @@ def run_selftest(args):
                   f"{f.message}")
     n_pos = len(expected)
     if ok:
-        print(f"loren-lint[{engine}] selftest: {len(files)} fixtures, "
+        print(f"loren-lint selftest: {len(files)} fixtures, "
               f"{n_pos} expected findings, all exact", file=sys.stderr)
         return 0
-    print(f"loren-lint[{engine}] selftest: corpus mismatch "
+    print(f"loren-lint selftest: corpus mismatch "
           f"(expected {n_pos}, fired {len(actual)})", file=sys.stderr)
     return 1
 
@@ -232,11 +209,7 @@ def main(argv=None):
                     help="repository root (default: cwd)")
     ap.add_argument("--compdb", default=None,
                     help="path to compile_commands.json (cross-checks "
-                         "coverage; feeds the clang engine)")
-    ap.add_argument("--engine", choices=("lex", "clang", "auto"),
-                    default="lex",
-                    help="extraction engine (default lex; clang needs "
-                         "python3-clang + libclang)")
+                         "coverage)")
     ap.add_argument("--rules", nargs="*", default=None,
                     metavar="ID", help="run only these rule IDs")
     ap.add_argument("--list", action="store_true",

@@ -1,6 +1,6 @@
 """Lexical C++ source model for loren-lint.
 
-This is the fallback extraction engine: a deterministic C++ lexer plus a
+This is the extraction engine: a deterministic C++ lexer plus a
 light structural pass (brace-block classification, statement splitting)
 that is sufficient to find the constructs the project rules care about —
 atomic variable declarations, atomic member-function call sites, mutex
@@ -9,9 +9,7 @@ with the comment annotations that exempt or contract them.
 
 It is *not* a C++ parser. It errs on the side of flagging: an ambiguous
 construct becomes a finding (which a human resolves with an annotation),
-never a silent pass. The libclang engine (clang_engine.py) produces the
-same Extraction data classes from a real AST when python3-clang is
-installed; the rules consume either engine's output unchanged.
+never a silent pass.
 """
 
 from __future__ import annotations
@@ -377,7 +375,7 @@ def merge_annotations(target: Annotations, extra: Annotations):
 
 
 # --------------------------------------------------------------------------
-# Extraction data classes (shared with the libclang engine)
+# Extraction data classes (what the rules consume)
 # --------------------------------------------------------------------------
 
 @dataclasses.dataclass
