@@ -263,8 +263,8 @@ std::uint64_t ElasticRenamingService::release_batch(const Name* names,
     if (g == nullptr) continue;
     LOREN_SIM_POINT("elastic.release.stamp");
     if (!stamp_matches(*g, d, options_.debug_release_guard)) continue;
-    // Close-vs-reap is linearized by the lease shard lock: exactly one
-    // side frees the cell.
+    // Close-vs-reap is linearized by the holder's lease-set lock: exactly
+    // one side frees the cell.
     if (!lease_closed(name, per)) continue;
     if (!g->release_local(d.local)) continue;
     if (g != run_group) {

@@ -11,27 +11,23 @@
 // under holder death — the liveness gap the renaming papers leave to the
 // deployment (see docs/leases.md for the state machine and invariants).
 //
-// Structure: the table is sharded by name hash; each shard is one
-// cacheline-aligned unit of {SimMutex, intrusive hash map name -> record,
-// hierarchical timer wheel, counters}. All record state is mutated under
-// the shard lock, so records need no atomics; the only lock-free word in
-// the subsystem is the per-thread Heartbeat stamp. The timer wheel is the
-// classic hashed hierarchical design (4 levels x 64 slots): insertion
-// O(1) into the level whose span covers the remaining delta, entries
-// cascading toward level 0 as their deadline approaches. A deadline past
-// the wheel's span parks one revolution out at the top level and is
-// re-armed there once per revolution. Slot chains are doubly linked, so
-// close() takes a lease off the wheel at once, and a per-level occupancy
-// bitmap lets a reap pass walk only the occupied slots the clock crossed:
-// a poll costs the leases that are due, not the slots or the closed
-// leases behind it. Expiry checks are exact at the moment of expiry —
-// the wheel only schedules *examination* times, and a lease whose
-// effective deadline moved (renew or heartbeat) is re-armed, never
-// expired early. A lease can therefore expire late (by up to one reap
-// poll interval), but never early: "zero false expiries of live renewing
-// holders" is structural, not probabilistic.
+// Structure: leases are partitioned by holder. Each thread's Heartbeat
+// node for a service carries that holder's lease set (a SimMutex, a flat
+// open-addressed map name -> deadline and its exact tallies), so open,
+// close, renew, rebind and validate lock only the caller's own set: the
+// lock is uncontended and its lines stay in the caller's cache. Leases
+// opened without a heartbeat (unit tests) live in one table-owned set
+// that close, renew and rebind consult after missing in the caller's
+// own. A reap pass walks the holders: a holder whose heartbeat is fresh
+// cannot have a due lease and costs one load, and only a stale holder's
+// set is locked and checked entry by entry. The table keeps next_due, a
+// lower bound on every live lease's effective deadline, so the op-path
+// try_reap() is one load of a read-mostly word until a lease may be due.
+// Expiry checks are exact at the moment of expiry, so a lease can expire
+// late (by up to one reap poll interval), but never early: "zero false
+// expiries of live renewing holders" is structural, not probabilistic.
 //
-// Close vs reap linearization: the shard lock is the arbiter. Exactly one
+// Close vs reap linearization: the holder set's lock is the arbiter. Exactly one
 // of {holder's close(), reaper's expiry} removes the lease from the map;
 // whoever loses finds it absent. The services free an arena cell only
 // after winning the close, and the reaper frees it only after winning the
@@ -50,6 +46,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -61,20 +58,73 @@
 #include "telemetry/trace.h"
 
 namespace loren::lease {
+namespace detail {
 
-/// One thread's freshness stamp for one service: every op the thread
-/// performs against the service relaxed-stores the current tick here,
-/// which renews *all* of that thread's leases at once (the reaper max()es
-/// the stamp into every effective deadline). Nodes are owned by the
-/// LeaseTable and live as long as it does, so a lease may safely point at
-/// its holder's cell even after the holder thread exits.
+/// One holder's leases: a flat open-addressed map from name to deadline
+/// (linear probing, backward-shift erase, power-of-two capacity, no
+/// storage while empty-and-released) plus the holder's exact tallies.
+/// Every field but `size` is read and written only under `mu`.
+struct LeaseSet {
+  /// Marks a free slot; the services only lease non-negative names.
+  static constexpr sim::Name kFree = std::numeric_limits<sim::Name>::min();
+  static constexpr std::uint64_t kMinCapacity = 8;
+  struct Slot {
+    sim::Name name = kFree;
+    std::uint64_t deadline = 0;  // open/renew tick + ttl (grace excluded)
+  };
+
+  SimMutex mu;
+  // mo: seq_cst/relaxed — stored only under mu. The store that makes the
+  // set non-empty and a reap pass's unlocked read are seq_cst: with the
+  // pass's seq_cst reset of next_due and the opener's seq_cst read of it
+  // they form the store/load pair that keeps the gate from hiding a lease
+  // (docs/leases.md, "The next_due gate"). Every other store is relaxed.
+  std::atomic<std::uint32_t> size{0};
+  std::uint32_t mask = 0;  // capacity - 1 while slots is non-null
+  std::unique_ptr<Slot[]> slots;
+  std::uint64_t opened = 0;
+  std::uint64_t closed = 0;
+  std::uint64_t expired = 0;
+  std::uint64_t guard_trips = 0;
+
+  [[nodiscard]] std::uint64_t capacity() const {
+    return slots != nullptr ? std::uint64_t{mask} + 1 : 0;
+  }
+  /// The capacity a set grows to for `n` entries (load factor <= 3/4).
+  [[nodiscard]] static std::uint64_t capacity_for(std::uint64_t n);
+  /// Slot of `name`, or capacity() when absent.
+  [[nodiscard]] std::uint64_t find(sim::Name name) const;
+  /// Inserts `name` (or refreshes its deadline), growing as needed.
+  void put(sim::Name name, std::uint64_t deadline);
+  /// Empties slot `i`, shifting its probe run back over the hole.
+  void erase_at(std::uint64_t i);
+  /// Drops every entry and frees the storage.
+  void release_storage();
+};
+
+}  // namespace detail
+
+/// One thread's freshness stamp for one service, and that holder's lease
+/// set: every op the thread performs against the service relaxed-stores
+/// the current tick here, which renews *all* of that thread's leases at
+/// once (the reaper max()es the stamp into every effective deadline).
+/// Nodes are owned by the LeaseTable and live as long as it does, so a
+/// holder's leases stay reapable after its thread exits.
 struct alignas(kCacheLine) Heartbeat {
   // mo: relaxed -- single-writer freshness stamp: only the owning thread
-  // stores; the reaper reads under the shard lock and tolerates a stale
+  // stores; the reaper reads it without a lock and tolerates a stale
   // value (staleness can only delay an expiry by one reap pass, never
   // cause a false one, because the effective deadline is the max of the
   // stamp-derived deadline and the lease's own).
   std::atomic<std::uint64_t> last{0};
+
+ private:
+  friend class LeaseTable;
+  friend struct LeaseTablePeer;  // white-box set checks (lease_test)
+
+  // Mutable: a holder's leases are not part of its identity, and the
+  // table mutates them through the const Heartbeat* every caller holds.
+  mutable detail::LeaseSet leases_;
 };
 
 struct LeaseOptions {
@@ -87,8 +137,6 @@ struct LeaseOptions {
   /// Tick source; nullptr selects telemetry::trace_ticks (TSC in
   /// production, the engine step counter under -DLOREN_SIM when bound).
   std::uint64_t (*clock)() = nullptr;
-  /// Lock shards (rounded up to a power of two).
-  std::uint64_t table_shards = 8;
   /// Test knob (default on): when off, the services *ignore* a failed
   /// lease close and release the arena cell anyway — the unguarded
   /// behavior whose ABA corruption scenario_lease_test pins as a real,
@@ -99,9 +147,9 @@ struct LeaseOptions {
 class LeaseTable {
  public:
   /// Frees the reclaimed cell back into the owning service's arena.
-  /// Called *outside* any shard lock; returns true iff the cell was
-  /// actually freed (false indicates the name no longer decodes to a
-  /// live cell, e.g. an elastic generation stamp mismatch).
+  /// Called *outside* every lock; returns true iff the cell was actually
+  /// freed (false indicates the name no longer decodes to a live cell,
+  /// e.g. an elastic generation stamp mismatch).
   using ReclaimFn = bool (*)(void* ctx, sim::Name name);
 
   LeaseTable(const LeaseOptions& opts, telemetry::MetricsRegistry* registry);
@@ -115,7 +163,8 @@ class LeaseTable {
   }
 
   /// One-time per thread; callers cache the node. Nodes are never
-  /// deregistered (same contract as RegisteredCounter).
+  /// deregistered (same contract as RegisteredCounter). Every non-null
+  /// Heartbeat passed to the calls below must come from this table.
   Heartbeat& register_thread();
 
   [[nodiscard]] std::uint64_t now() const { return clock_(); }
@@ -162,10 +211,11 @@ class LeaseTable {
   /// A mismatch is counted as a guard trip.
   [[nodiscard]] bool validate(sim::Name name, const Heartbeat* hb);
 
-  /// Expires every stale lease and reclaims its cell via the callback.
-  /// Returns the number of cells reclaimed. reap() takes every shard
-  /// lock in turn; try_reap() skips shards whose lock is busy (the
-  /// sampled op-path poll — another thread is already reaping there).
+  /// Expires every stale lease and reclaims its cell via the callback,
+  /// in effective-deadline order. Returns the number of cells reclaimed.
+  /// reap() always runs a full pass (waiting for a running one);
+  /// try_reap() — the sampled op-path poll — returns at once while
+  /// now < next_due or while another thread's pass is running.
   std::size_t reap(std::uint64_t now_ticks, telemetry::MetricsRegistry::ThreadStripe* stripe);
   std::size_t try_reap(std::uint64_t now_ticks,
                        telemetry::MetricsRegistry::ThreadStripe* stripe);
@@ -174,94 +224,79 @@ class LeaseTable {
   /// arena epoch bump already freed every cell).
   void clear();
 
-  // Exact under quiescence (each addend is read under its shard lock).
+  // Exact under quiescence (each addend is read under its set's lock).
   [[nodiscard]] std::uint64_t leases_live() const;
   [[nodiscard]] std::uint64_t opened() const;
   [[nodiscard]] std::uint64_t expired() const;
   [[nodiscard]] std::uint64_t guard_trips() const;
 
  private:
-  friend struct LeaseTablePeer;  // white-box wheel checks (lease_test)
+  friend struct LeaseTablePeer;  // white-box set and gate checks (lease_test)
 
-  static constexpr std::uint32_t kNil = 0xFFFFFFFFu;
-  static constexpr unsigned kWheelBits = 6;
-  static constexpr std::uint32_t kWheelSlots = 1u << kWheelBits;
-  static constexpr unsigned kWheelLevels = 4;
+  static constexpr std::uint64_t kNever = ~std::uint64_t{0};
 
-  /// All fields mutated under the owning shard's lock — plain words.
-  struct Record {
-    sim::Name name = 0;
-    std::uint64_t deadline = 0;  // open/renew tick + ttl (grace excluded)
-    const Heartbeat* hb = nullptr;
-    std::uint32_t hnext = kNil;  // hash-chain link
-    std::uint32_t wnext = kNil;  // wheel-slot chain link (freelist link)
-    std::uint32_t wprev = kNil;  // wheel-slot back link (kNil at the head)
-    std::uint16_t wpos = 0;      // wheel position: level * kWheelSlots + slot
-    bool live = false;           // false = on the freelist
+  /// A reaped lease, held until its reclaim callback runs.
+  struct Expiry {
+    std::uint64_t due;  // effective deadline
+    sim::Name name;
   };
 
-  struct alignas(kCacheLine) Shard {
-    mutable SimMutex mu;
-    std::vector<std::uint32_t> buckets;  // hash heads (power-of-two size)
-    std::vector<Record> records;
-    std::uint32_t free_head = kNil;  // freelist through Record::wnext
-    std::uint32_t live_count = 0;
-    // Timer wheel: slot chains per level, a bitmap per level of the
-    // non-empty slots, and a per-level cursor (the last fully processed
-    // absolute bucket index at that level's granularity).
-    std::uint32_t wheel[kWheelLevels][kWheelSlots];
-    std::uint64_t occupied[kWheelLevels];
-    std::uint64_t cursor[kWheelLevels];
-    // Monotonic tallies (exact: every transition happens under mu).
-    std::uint64_t opened = 0;
-    std::uint64_t closed = 0;
-    std::uint64_t expired = 0;
-    std::uint64_t guard_trips = 0;
-  };
-
-  Shard& shard_for(sim::Name name);
-  const Shard& shard_for(sim::Name name) const;
-  // All of the below require the shard's lock held.
-  std::uint32_t find_locked(Shard& s, sim::Name name) const;
-  void unlink_locked(Shard& s, std::uint32_t idx);
-  std::uint32_t alloc_record_locked(Shard& s);
-  /// Takes a live record out of the hash map onto the freelist; the
-  /// caller has already taken it off the wheel.
-  void free_record_locked(Shard& s, std::uint32_t idx);
-  void wheel_insert_locked(Shard& s, std::uint32_t idx, std::uint64_t due,
-                           std::uint64_t now_ticks);
-  void wheel_unlink_locked(Shard& s, std::uint32_t idx);
-  [[nodiscard]] std::uint64_t effective_deadline_locked(
-      const Record& rec) const;
-  /// Advances the shard's wheel to now, expiring stale leases; appends
-  /// the reclaimable names to `out` and their lateness to `late`.
-  void advance_locked(Shard& s, std::uint64_t now_ticks,
-                      std::vector<sim::Name>& out,
-                      std::vector<std::uint64_t>& late);
-  /// One reap pass over every shard; `wait` selects lock() over
-  /// try_lock() (reap() vs try_reap()).
+  /// The set a caller's operations start in: its own, or the
+  /// holderless set for hb == nullptr.
+  detail::LeaseSet& own_set(const Heartbeat* hb) {
+    return hb != nullptr ? hb->leases_ : holderless_;
+  }
+  /// Calls f(set, hb) for every set, holderless last (hb null there),
+  /// holding hb_mu_ across the holders.
+  template <class F>
+  void for_each_set(F&& f) const;
+  /// Under the caller's own lock, after `name` missed there: when the
+  /// caller has a heartbeat, looks in the holderless set (taking its lock
+  /// inside the caller's) and applies `hit` there. Counts a guard trip on
+  /// `own` when that misses too.
+  template <class Hit>
+  bool on_holderless_locked(detail::LeaseSet& own, const Heartbeat* hb,
+                            sim::Name name, Hit&& hit);
+  [[nodiscard]] std::uint64_t effective_deadline(std::uint64_t deadline,
+                                                 std::uint64_t beat) const;
+  /// Lowers next_due to `due` unless it already lies at or below it.
+  void lower_gate(std::uint64_t due);
+  /// Under the set's lock: expires the set's due entries into `out` and
+  /// returns the least effective deadline left (kNever when empty).
+  std::uint64_t expire_locked(detail::LeaseSet& set, std::uint64_t beat,
+                              std::uint64_t now_ticks,
+                              std::vector<Expiry>& out);
+  /// Sums get(set) over every set, each read under its lock.
+  template <class Get>
+  [[nodiscard]] std::uint64_t sum(Get get) const;
+  /// One pass over every holder; the caller holds pass_mu_.
   std::size_t reap_pass(std::uint64_t now_ticks,
                         telemetry::MetricsRegistry::ThreadStripe* stripe,
-                        bool wait);
-  /// Post-lock half of a reap pass: telemetry + reclaim callbacks for
-  /// the names advance_locked() expired. Runs outside every shard lock.
-  std::size_t finish_reap(const std::vector<sim::Name>& names,
-                          const std::vector<std::uint64_t>& late,
-                          telemetry::MetricsRegistry::ThreadStripe* stripe);
+                        std::unique_lock<SimMutex>& pass_lock);
 
   std::uint64_t ttl_;
   std::uint64_t grace_;
   std::uint64_t (*clock_)();
   bool release_guard_;
-  std::uint64_t shard_mask_;
-  std::vector<std::unique_ptr<Shard>> shards_;
 
   ReclaimFn reclaim_ = nullptr;
   void* reclaim_ctx_ = nullptr;
 
-  // Heartbeat registry (cold: one registration per thread per service).
-  SimMutex hb_mu_;  // sim:lock-ok(registration only; no sim points inside)
+  // mo: seq_cst/relaxed — the reap gate: a lower bound on the effective
+  // deadline of every live lease, kNever with none. A pass resets it and
+  // an opener reads it seq_cst (the pair with LeaseSet::size); lowering
+  // is a CAS-min, and the op-path poll's read is relaxed (a stale value
+  // only moves a pass by one poll).
+  alignas(kCacheLine) std::atomic<std::uint64_t> next_due_{kNever};
+  SimMutex pass_mu_;          // one pass at a time
+  std::uint64_t passes_ = 0;  // under pass_mu_ (white-box tests)
+
+  // Heartbeat registry (one node per thread per service). A pass walks
+  // it under hb_mu_, so a holder registered after the walk opens its
+  // first lease after that pass's reset of next_due.
+  alignas(kCacheLine) mutable SimMutex hb_mu_;
   std::vector<std::unique_ptr<Heartbeat>> heartbeats_;
+  mutable detail::LeaseSet holderless_;
 
   // Telemetry ids (sink-mapped when no registry is attached).
   telemetry::MetricsRegistry* registry_;

@@ -10,16 +10,17 @@
 //   * heartbeat renewal — a holder that keeps stamping its heartbeat
 //     keeps every lease alive indefinitely; the moment it stops, the
 //     stale leases expire at stamp + ttl + grace;
-//   * wheel cascade math — deadlines spanning all four wheel levels
-//     (deltas around the 64 / 4096 / 262144 level boundaries) expire in
-//     deadline order across coarse clock jumps, each exactly once, and
-//     deadlines past the wheel's 64^4-tick span expire exactly on time,
-//     and a lease opened with a tick older than the last reap is not
-//     parked a revolution late;
-//   * wheel bookkeeping (white-box, via LeaseTablePeer) — a closed lease
-//     leaves its slot chain at once and its record is reused, expiries
-//     across the slot 63 -> 0 wrap come out in deadline order, and
-//     concurrent churn with op-path polls keeps every count exact;
+//   * deadline spread — deadlines from 1 to 2^28 ticks out expire in
+//     deadline order across coarse clock jumps, each exactly once and
+//     exactly on time, and a lease opened with a tick older than the last
+//     reap still expires at its own deadline;
+//   * holder sets and the reap gate (white-box, via LeaseTablePeer) — a
+//     closed lease leaves its set at once and the storage never grows
+//     past peak live, expiries come out in deadline order, a try_reap
+//     before next_due runs no pass and never hides a due lease (also
+//     while opens race passes), exited holders' leases are reaped and
+//     their sets' storage freed, and concurrent churn with op-path polls
+//     keeps every count exact;
 //   * service integration (both services) — abandoned names are reaped
 //     back into the arena and become re-acquirable, a revived holder's
 //     late release is rejected, renew_lease reports kLeaseExpired.
@@ -27,6 +28,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <mutex>
@@ -42,46 +44,43 @@
 
 namespace loren::lease {
 
-/// White-box view of a LeaseTable's shards, read under each shard lock.
+/// White-box view of a LeaseTable's holder sets and reap gate.
 struct LeaseTablePeer {
-  /// Records chained in any wheel slot, over every shard. Also checks
-  /// that each level's occupancy bit is set iff its slot is non-empty.
-  static std::uint64_t wheel_chained(const LeaseTable& t) {
-    std::uint64_t total = 0;
-    for (const auto& sp : t.shards_) {
-      std::lock_guard<SimMutex> lock(sp->mu);
-      for (unsigned level = 0; level < LeaseTable::kWheelLevels; ++level) {
-        for (unsigned slot = 0; slot < LeaseTable::kWheelSlots; ++slot) {
-          const std::uint32_t head = sp->wheel[level][slot];
-          EXPECT_EQ((sp->occupied[level] >> slot) & 1u,
-                    head != LeaseTable::kNil ? 1u : 0u)
-              << "occupancy bit of level " << level << " slot " << slot;
-          for (std::uint32_t i = head; i != LeaseTable::kNil;
-               i = sp->records[i].wnext) {
-            ++total;
-          }
-        }
+  struct SetView {
+    std::uint64_t entries;   // occupied slots, counted by walking them
+    std::uint64_t size;      // the set's size word
+    std::uint64_t capacity;  // slots allocated (0: storage released)
+  };
+  /// Every holder set in registration order, then the holderless set;
+  /// each read under its lock (call it while no thread registers).
+  static std::vector<SetView> sets(const LeaseTable& t) {
+    std::vector<SetView> out;
+    const auto view = [&](detail::LeaseSet& set) {
+      std::lock_guard<SimMutex> lock(set.mu);
+      SetView v{0, set.size.load(), set.capacity()};
+      for (std::uint64_t i = 0; i < v.capacity; ++i) {
+        if (set.slots[i].name != detail::LeaseSet::kFree) ++v.entries;
       }
+      out.push_back(v);
+    };
+    for (const auto& hb : t.heartbeats_) view(hb->leases_);
+    view(t.holderless_);
+    return out;
+  }
+  /// Entries over every set; also checks each set's size word.
+  static std::uint64_t entries(const LeaseTable& t) {
+    std::uint64_t total = 0;
+    for (const SetView& v : sets(t)) {
+      EXPECT_EQ(v.entries, v.size) << "a set's size word disagrees";
+      total += v.entries;
     }
     return total;
   }
-
-  /// Per shard: records ever allocated (the pool) and leases live now.
-  static std::vector<std::uint64_t> pool_sizes(const LeaseTable& t) {
-    std::vector<std::uint64_t> out;
-    for (const auto& sp : t.shards_) {
-      std::lock_guard<SimMutex> lock(sp->mu);
-      out.push_back(sp->records.size());
-    }
-    return out;
-  }
-  static std::vector<std::uint64_t> live_counts(const LeaseTable& t) {
-    std::vector<std::uint64_t> out;
-    for (const auto& sp : t.shards_) {
-      std::lock_guard<SimMutex> lock(sp->mu);
-      out.push_back(sp->live_count);
-    }
-    return out;
+  /// Passes run so far (read while no pass runs).
+  static std::uint64_t passes(const LeaseTable& t) { return t.passes_; }
+  static std::uint64_t next_due(const LeaseTable& t) { return t.next_due_.load(); }
+  static std::uint64_t capacity_for(std::uint64_t n) {
+    return detail::LeaseSet::capacity_for(n);
   }
 };
 
@@ -105,6 +104,16 @@ struct Reclaimed {
   std::vector<Name> names;
   static bool sink(void* ctx, Name n) {
     static_cast<Reclaimed*>(ctx)->names.push_back(n);
+    return true;
+  }
+};
+
+// Thread-safe reclaim counter, for the tables several threads reap.
+struct Counting {
+  std::atomic<std::uint64_t> reclaimed{0};
+  static bool sink(void* ctx, Name) {
+    static_cast<Counting*>(ctx)->reclaimed.fetch_add(1,
+                                                     std::memory_order_relaxed);
     return true;
   }
 };
@@ -242,10 +251,10 @@ TEST_F(LeaseUnit, RebindEnforcesHolderIdentity) {
 }
 
 TEST_F(LeaseUnit, WheelCascadeExpiresInDeadlineOrderAcrossClockJumps) {
-  // Deltas straddling every wheel-level boundary (levels cover 64, 4096,
-  // 262144, 16777216 ticks): each lease must survive any reap before its
-  // deadline and die on the first reap at-or-after it — including when
-  // the clock jumps over several levels' worth of slots at once.
+  // Deltas straddling the level boundaries of the timer wheel the holder
+  // sets replaced (64, 4096, 262144 ticks): each lease must survive any
+  // reap before its deadline and die on the first reap at-or-after it —
+  // including when the clock jumps past many deadlines at once.
   const std::vector<std::uint64_t> deltas = {1,    2,    63,     64,    65,
                                              100,  4095, 4096,   4097,  9000,
                                              262143, 262144, 262145, 300000};
@@ -293,43 +302,46 @@ TEST_F(LeaseUnit, ClearDropsEverythingWithoutReclaiming) {
   EXPECT_TRUE(rec.names.empty()) << "clear() must not reclaim cells";
 }
 
-TEST_F(LeaseUnit, ClosedLeaseLeavesTheWheelAtOnce) {
+TEST_F(LeaseUnit, ClosedLeaseLeavesItsHolderSetAtOnce) {
   // The clock never moves, so no reap could recycle anything: a closed
-  // lease must leave its slot chain, and its record must be reused,
-  // inside close() itself.
+  // lease must leave its set inside close() itself, with no tombstone
+  // left behind to grow the storage. Odd names go to a holder's set,
+  // even ones to the holderless set.
   lease::LeaseTable t(opts_with(/*ttl=*/1000), nullptr);
+  const lease::Heartbeat& hb = t.register_thread();
   g_now = 77;
-  std::vector<std::uint64_t> peak(LeaseTablePeer::live_counts(t).size(), 0);
+  std::vector<std::uint64_t> peak(LeaseTablePeer::sets(t).size(), 0);
   constexpr Name kBatch = 100;
+  const auto holder_of = [&](Name n) { return n % 2 != 0 ? &hb : nullptr; };
   for (Name base = 0; base < 10000; base += kBatch) {
     for (Name n = base; n < base + kBatch; ++n) {
-      t.open(n, t.now(), nullptr, nullptr);
+      t.open(n, t.now(), holder_of(n), nullptr);
     }
-    ASSERT_EQ(LeaseTablePeer::wheel_chained(t), t.leases_live());
-    const std::vector<std::uint64_t> live = LeaseTablePeer::live_counts(t);
-    for (std::size_t i = 0; i < live.size(); ++i) {
-      peak[i] = std::max(peak[i], live[i]);
+    ASSERT_EQ(LeaseTablePeer::entries(t), t.leases_live());
+    const std::vector<LeaseTablePeer::SetView> sets = LeaseTablePeer::sets(t);
+    for (std::size_t i = 0; i < sets.size(); ++i) {
+      peak[i] = std::max(peak[i], sets[i].entries);
     }
     for (Name n = base; n < base + kBatch; ++n) {
-      ASSERT_TRUE(t.close(n, nullptr, nullptr));
+      ASSERT_TRUE(t.close(n, holder_of(n), nullptr));
     }
   }
   EXPECT_EQ(t.leases_live(), 0u);
-  EXPECT_EQ(LeaseTablePeer::wheel_chained(t), t.leases_live())
-      << "closed leases are still chained in the wheel";
-  const std::vector<std::uint64_t> pool = LeaseTablePeer::pool_sizes(t);
-  for (std::size_t i = 0; i < pool.size(); ++i) {
-    EXPECT_LE(pool[i], peak[i]) << "shard " << i
-                                << " grew its record pool past peak live";
+  EXPECT_EQ(LeaseTablePeer::entries(t), t.leases_live())
+      << "closed leases are still in their sets";
+  const std::vector<LeaseTablePeer::SetView> sets = LeaseTablePeer::sets(t);
+  for (std::size_t i = 0; i < sets.size(); ++i) {
+    EXPECT_EQ(peak[i], static_cast<std::uint64_t>(kBatch / 2));
+    EXPECT_LE(sets[i].capacity, LeaseTablePeer::capacity_for(peak[i]))
+        << "set " << i << " grew its storage past peak live";
   }
 }
 
 TEST_F(LeaseUnit, DeadlinePastTheWheelSpanExpiresOnTime) {
-  // The wheel spans 64^4 = 2^24 ticks; these deadlines lie at and past
-  // it, so the top level parks them and re-arms them once per
-  // revolution. Clock steps of 2^17 and 2^18 (half and one top-level
-  // slot) and an unaligned 987654 each walk the clock up to the deadline,
-  // landing once on deadline - 1 and once on the deadline.
+  // Deadlines at and past 2^24 ticks (the span of the former timer
+  // wheel, about 8 ms on the TSC). Clock steps of 2^17 and 2^18 and an
+  // unaligned 987654 each walk the clock up to the deadline, landing
+  // once on deadline - 1 and once on the deadline.
   const std::uint64_t grace = std::uint64_t{1} << 20;
   const std::vector<std::uint64_t> ttls = {
       std::uint64_t{1} << 24, (std::uint64_t{1} << 24) + 12345,
@@ -362,10 +374,10 @@ TEST_F(LeaseUnit, DeadlinePastTheWheelSpanExpiresOnTime) {
 }
 
 TEST_F(LeaseUnit, OpenStampedBeforeTheLastReapIsNotParkedARevolutionLate) {
-  // A service reads the clock before it takes the shard lock, so a reap
-  // with a later tick can advance the cursor first. The lease's bucket
-  // then lies at or behind that level's cursor; it must come up on the
-  // level's next bucket, not when the sweep wraps round to its slot.
+  // A service reads the clock before it takes the set lock, so a reap
+  // with a later tick can run first. The lease, stamped before that
+  // reap, must still expire on the first reap past its deadline (the
+  // former wheel once parked it a revolution late behind its cursor).
   const std::uint64_t base = 3 * (std::uint64_t{1} << 24) + 12345;
   for (unsigned level = 0; level < 4; ++level) {
     SCOPED_TRACE("level " + std::to_string(level));
@@ -383,16 +395,15 @@ TEST_F(LeaseUnit, OpenStampedBeforeTheLastReapIsNotParkedARevolutionLate) {
 }
 
 TEST_F(LeaseUnit, ReapOrderHoldsAcrossTheSlotWrap) {
-  // One lease per slot in slots 60..63, 0..3 of level 0 (ttl 10, one
-  // tick apart) and then of level 1 (ttl 640, one 64-tick slot apart).
-  // One reap past every deadline must surface them in deadline order,
-  // so the walk must cross the wrap the way the clock does.
+  // Eight deadlines one tick apart (ttl 10) and then one 64 ticks apart
+  // (ttl 640), across what were the slot 63 -> 0 wraps of the former
+  // wheel's levels 0 and 1. One reap past every deadline must run the
+  // reclaim callbacks in deadline order.
   for (unsigned level = 0; level < 2; ++level) {
     SCOPED_TRACE("level " + std::to_string(level));
     const std::uint64_t width = std::uint64_t{1} << (6 * level);
     const std::uint64_t ttl = 10 * width;
     lease::LeaseOptions o = opts_with(ttl);
-    o.table_shards = 1;  // one shard: one expiry order across all names
     Reclaimed rec;
     lease::LeaseTable t(o, nullptr);
     t.set_reclaimer(&Reclaimed::sink, &rec);
@@ -418,14 +429,7 @@ TEST_F(LeaseUnit, ConcurrentChurnWithPollsKeepsCountsExact) {
   // the 32-tick ttl, so the polls expire some of them under the holder.
   constexpr int kThreads = 4;
   constexpr int kOps = 20000;
-  struct Counting {
-    std::atomic<std::uint64_t> reclaimed{0};
-    static bool sink(void* ctx, Name) {
-      static_cast<Counting*>(ctx)->reclaimed.fetch_add(
-          1, std::memory_order_relaxed);
-      return true;
-    }
-  } counting;
+  Counting counting;
   lease::LeaseTable t(opts_with(/*ttl=*/32), nullptr);
   t.set_reclaimer(&Counting::sink, &counting);
   std::atomic<std::uint64_t> closes{0};
@@ -463,7 +467,152 @@ TEST_F(LeaseUnit, ConcurrentChurnWithPollsKeepsCountsExact) {
   EXPECT_EQ(counting.reclaimed.load(), t.expired());
   EXPECT_GT(t.expired(), 0u) << "no lease outlived its ttl under churn";
   EXPECT_EQ(t.leases_live(), 0u);
-  EXPECT_EQ(LeaseTablePeer::wheel_chained(t), 0u);
+  EXPECT_EQ(LeaseTablePeer::entries(t), 0u);
+}
+
+TEST_F(LeaseUnit, GateNeverHidesADueLease) {
+  // Holder a keeps stamping; holder b stops at tick 1000. While the clock
+  // is short of next_due a try_reap runs no pass at all; b's leases
+  // expire on the first try_reap at their effective deadline (1000 + ttl
+  // + grace), never earlier, and a's lease on the first try_reap at its
+  // last stamp + ttl + grace.
+  Reclaimed rec;
+  lease::LeaseTable t(opts_with(/*ttl=*/100, /*grace=*/10), nullptr);
+  t.set_reclaimer(&Reclaimed::sink, &rec);
+  lease::Heartbeat& a = t.register_thread();
+  lease::Heartbeat& b = t.register_thread();
+  g_now = 1000;
+  a.last.store(1000, std::memory_order_relaxed);
+  b.last.store(1000, std::memory_order_relaxed);
+  t.open(1, t.now(), &a, nullptr);
+  t.open(2, t.now(), &b, nullptr);
+  t.open(3, t.now(), &b, nullptr);
+  EXPECT_EQ(t.reap(t.now(), nullptr), 0u);
+  EXPECT_EQ(LeaseTablePeer::next_due(t), 1110u);
+  const std::uint64_t passes = LeaseTablePeer::passes(t);
+  for (std::uint64_t now = 1001; now < 1110; ++now) {
+    g_now = now;
+    if (now % 10 == 0) a.last.store(now, std::memory_order_relaxed);
+    ASSERT_EQ(t.try_reap(t.now(), nullptr), 0u) << "expired early at " << now;
+  }
+  EXPECT_EQ(LeaseTablePeer::passes(t), passes)
+      << "a try_reap before next_due ran a pass";
+  EXPECT_EQ(t.leases_live(), 3u);
+  g_now = 1110;
+  EXPECT_EQ(t.try_reap(t.now(), nullptr), 2u);
+  EXPECT_EQ(LeaseTablePeer::passes(t), passes + 1);
+  std::sort(rec.names.begin(), rec.names.end());
+  EXPECT_EQ(rec.names, (std::vector<Name>{2, 3}));
+  // a stamped last at 1100, so its lease is due at 1210.
+  EXPECT_EQ(LeaseTablePeer::next_due(t), 1210u);
+  g_now = 1209;
+  EXPECT_EQ(t.try_reap(t.now(), nullptr), 0u);
+  EXPECT_EQ(LeaseTablePeer::passes(t), passes + 1);
+  g_now = 1210;
+  EXPECT_EQ(t.try_reap(t.now(), nullptr), 1u);
+  EXPECT_EQ(t.leases_live(), 0u);
+  EXPECT_EQ(LeaseTablePeer::next_due(t), ~std::uint64_t{0}) << "nothing is live";
+}
+
+TEST_F(LeaseUnit, OpenRacingAPassIsNotLost) {
+  // Each round opens a trigger lease and lets it fall due, then starts two
+  // pollers and four holders together: a poller's try_reap runs a pass
+  // for the trigger while each holder opens one short-ttl lease. A ballast
+  // holder with thousands of far-off leases, registered last so that a
+  // pass reads the holders' sets before it scans the ballast, makes every
+  // pass long, so the opens tend to land after the pass read their sets
+  // as empty. Once every thread has stopped, try_reap alone must reap
+  // every lease by its deadline: a pass that raised the gate past a lease
+  // it did not see would leave that lease live.
+  constexpr std::uint64_t kTtl = 2;
+  constexpr std::uint64_t kGrace = 1;
+  constexpr std::uint64_t kBallast = 16384;
+  constexpr int kHolders = 4;
+  constexpr int kPollers = 2;
+  constexpr int kRounds = 200;
+  Counting counting;
+  lease::LeaseTable t(opts_with(kTtl, kGrace), nullptr);
+  t.set_reclaimer(&Counting::sink, &counting);
+  std::vector<const lease::Heartbeat*> hbs;
+  for (int h = 0; h < kHolders; ++h) hbs.push_back(&t.register_thread());
+  const lease::Heartbeat& ballast = t.register_thread();
+  for (std::uint64_t i = 0; i < kBallast; ++i) {
+    t.open(static_cast<Name>(i), std::uint64_t{1} << 40, &ballast, nullptr);
+  }
+  for (int round = 0; round < kRounds; ++round) {
+    const Name base = (Name{1} << 32) | (static_cast<Name>(round) << 8);
+    t.open(base | 0xFF, t.now(), nullptr, nullptr);  // the trigger
+    g_now += kTtl + kGrace;
+    std::atomic<bool> go{false};
+    std::atomic<int> holding{kHolders};
+    std::vector<std::thread> threads;
+    for (int p = 0; p < kPollers; ++p) {
+      threads.emplace_back([&] {
+        while (!go.load()) std::this_thread::yield();
+        while (holding.load() > 0) t.try_reap(t.now(), nullptr);
+      });
+    }
+    for (int h = 0; h < kHolders; ++h) {
+      threads.emplace_back([&, h] {
+        while (!go.load()) std::this_thread::yield();
+        // Let a poller's pass get past the holders' sets first.
+        const auto start = std::chrono::steady_clock::now();
+        while (std::chrono::steady_clock::now() - start <
+               std::chrono::microseconds(2)) {
+        }
+        t.open(base | h, t.now(), hbs[h], nullptr);
+        holding.fetch_sub(1);
+      });
+    }
+    go.store(true);
+    for (auto& th : threads) th.join();
+    g_now += kTtl + kGrace;
+    t.try_reap(t.now(), nullptr);
+    ASSERT_EQ(t.leases_live(), kBallast)
+        << "round " << round << ": the gate hid a due lease";
+  }
+  EXPECT_EQ(t.expired(), t.opened() - kBallast);
+  EXPECT_EQ(counting.reclaimed.load(), t.expired());
+}
+
+TEST_F(LeaseUnit, ExitedHoldersAreReapedAndReleased) {
+  // 500 short-lived holders, four alive at a time, each stamp once, open
+  // two leases and exit without closing them. Their nodes outlive them:
+  // every lease expires at stamp + ttl + grace, and every set the reaper
+  // empties frees its storage.
+  constexpr int kHolders = 500;
+  constexpr int kWave = 4;
+  Counting counting;
+  lease::LeaseTable t(opts_with(/*ttl=*/100, /*grace=*/10), nullptr);
+  t.set_reclaimer(&Counting::sink, &counting);
+  g_now = 1000;
+  for (int base = 0; base < kHolders; base += kWave) {
+    std::vector<std::thread> wave;
+    for (int h = base; h < base + kWave; ++h) {
+      wave.emplace_back([&t, h] {
+        lease::Heartbeat& hb = t.register_thread();
+        hb.last.store(fake_now(), std::memory_order_relaxed);
+        t.open(2 * h, t.now(), &hb, nullptr);
+        t.open(2 * h + 1, t.now(), &hb, nullptr);
+      });
+    }
+    for (auto& th : wave) th.join();
+  }
+  constexpr std::uint64_t kLeases = 2 * kHolders;
+  EXPECT_EQ(t.leases_live(), kLeases);
+  g_now = 1109;
+  EXPECT_EQ(t.try_reap(t.now(), nullptr), 0u);
+  g_now = 1110;
+  EXPECT_EQ(t.try_reap(t.now(), nullptr), kLeases);
+  EXPECT_EQ(t.leases_live(), 0u);
+  EXPECT_EQ(t.expired(), kLeases);
+  EXPECT_EQ(counting.reclaimed.load(), kLeases);
+  const std::vector<LeaseTablePeer::SetView> sets = LeaseTablePeer::sets(t);
+  EXPECT_EQ(sets.size(), kHolders + 1u);  // and the holderless set
+  for (const LeaseTablePeer::SetView& v : sets) {
+    EXPECT_EQ(v.entries, 0u);
+    EXPECT_EQ(v.capacity, 0u) << "an emptied set kept its storage";
+  }
 }
 
 // ---------------------------------------------- service integration ----

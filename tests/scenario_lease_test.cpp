@@ -316,7 +316,7 @@ TEST(ScenarioLease, StormTraceIsByteIdenticalPerSeed) {
 // The fixed service is the sharpest ABA instrument: its names carry no
 // generation bits, so a reaped-and-reissued cell yields *identical* name
 // bits. Worker 0 is stalled inside LeaseTable::close (at the lease.close
-// sim point, before the shard lock); while it hangs, worker 1 drives the
+// sim point, before the set lock); while it hangs, worker 1 drives the
 // clock past expiry, reaps, and re-acquires the very same cell. Worker 0
 // then resumes its release holding stale name bits that now denote
 // worker 1's name.
