@@ -54,7 +54,8 @@ void LeaseSet::put(sim::Name name, std::uint64_t deadline) {
   slots[i] = {name, deadline};
   if (n == 0) {
     // The empty -> non-empty store: the seq_cst half of the pair with a
-    // reap pass's reset of next_due (docs/leases.md, "The next_due gate").
+    // reap pass's reset of next_due (docs/leases.md, "The gate never
+    // hides a live lease").
     size.store(1, std::memory_order_seq_cst);
   } else {
     // mo:relaxed-ok(the set was already non-empty; stored under mu)
@@ -293,7 +294,7 @@ std::size_t LeaseTable::reap_pass(std::uint64_t now_ticks,
   ++passes_;
   // The reset comes before any set's size is read: an open this pass
   // does not see reads the reset (or a later value) and lowers the gate
-  // itself (docs/leases.md, "The next_due gate").
+  // itself (docs/leases.md, "The gate never hides a live lease").
   next_due_.store(kNever, std::memory_order_seq_cst);
   std::uint64_t due = kNever;
   std::vector<Expiry> out;

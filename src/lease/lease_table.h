@@ -27,9 +27,9 @@
 // late (by up to one reap poll interval), but never early: "zero false
 // expiries of live renewing holders" is structural, not probabilistic.
 //
-// Close vs reap linearization: the holder set's lock is the arbiter. Exactly one
-// of {holder's close(), reaper's expiry} removes the lease from the map;
-// whoever loses finds it absent. The services free an arena cell only
+// Close vs reap linearization: the holder set's lock is the arbiter.
+// Exactly one of {holder's close(), reaper's expiry} removes the lease
+// from the set; whoever loses finds it absent. The services free an arena cell only
 // after winning the close, and the reaper frees it only after winning the
 // expiry — so a revived holder's late release is *detected* (close fails,
 // the service reports kLeaseExpired / a guard trip), never applied to a
@@ -78,7 +78,8 @@ struct LeaseSet {
   // set non-empty and a reap pass's unlocked read are seq_cst: with the
   // pass's seq_cst reset of next_due and the opener's seq_cst read of it
   // they form the store/load pair that keeps the gate from hiding a lease
-  // (docs/leases.md, "The next_due gate"). Every other store is relaxed.
+  // (docs/leases.md, "The gate never hides a live lease"). Every other
+  // store is relaxed.
   std::atomic<std::uint32_t> size{0};
   std::uint32_t mask = 0;  // capacity - 1 while slots is non-null
   std::unique_ptr<Slot[]> slots;
