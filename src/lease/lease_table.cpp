@@ -1,20 +1,41 @@
 #include "lease/lease_table.h"
 
 #include <algorithm>
+#include <bit>
 
 namespace loren::lease {
 namespace detail {
 namespace {
 
-/// Multiplicative hash folded onto its high half, so that the low bits a
-/// set indexes with depend on every bit of the services' structured
-/// (shard-interleaved / tag-packed) names.
+/// Multiplicative hash folded onto its high half, so the low bits a set
+/// indexes with depend on every bit of the services' structured names.
 std::uint64_t home(sim::Name name, std::uint64_t mask) {
   const std::uint64_t x = static_cast<std::uint64_t>(name) * 0x9E3779B97F4A7C15ull;
   return (x ^ (x >> 32)) & mask;
 }
 
 }  // namespace
+
+std::unique_ptr<Slot[]> SlotPool::take(std::uint64_t capacity) {
+  const auto c = static_cast<unsigned>(std::countr_zero(capacity / LeaseSet::kMinCapacity));
+  if (c < kClasses) {
+    std::lock_guard<SimMutex> lock(mu_);
+    if (!spare_[c].empty()) {
+      std::unique_ptr<Slot[]> block = std::move(spare_[c].back());
+      spare_[c].pop_back();
+      std::fill_n(block.get(), capacity, Slot{});
+      return block;
+    }
+  }
+  return std::make_unique<Slot[]>(capacity);
+}
+
+void SlotPool::give(std::unique_ptr<Slot[]> block, std::uint64_t capacity) {
+  const auto c = static_cast<unsigned>(std::countr_zero(capacity / LeaseSet::kMinCapacity));
+  if (c >= kClasses) return;  // also an empty block (capacity 0)
+  std::lock_guard<SimMutex> lock(mu_);
+  spare_[c].push_back(std::move(block));
+}
 
 std::uint64_t LeaseSet::capacity_for(std::uint64_t n) {
   std::uint64_t c = kMinCapacity;
@@ -30,13 +51,13 @@ std::uint64_t LeaseSet::find(sim::Name name) const {
   }
 }
 
-void LeaseSet::put(sim::Name name, std::uint64_t deadline) {
+void LeaseSet::put(sim::Name name, std::uint64_t deadline, SlotPool& pool) {
   // mo:relaxed-ok(every store of size is made under mu, which we hold)
   const std::uint32_t n = size.load(std::memory_order_relaxed);
   if (const std::uint64_t want = capacity_for(n + 1); want > capacity()) {
+    const std::uint64_t old_cap = capacity();
     std::unique_ptr<Slot[]> old = std::move(slots);
-    const std::uint64_t old_cap = old != nullptr ? std::uint64_t{mask} + 1 : 0;
-    slots = std::make_unique<Slot[]>(want);
+    slots = pool.take(want);
     mask = static_cast<std::uint32_t>(want - 1);
     for (std::uint64_t i = 0; i < old_cap; ++i) {
       if (old[i].name == kFree) continue;
@@ -44,6 +65,7 @@ void LeaseSet::put(sim::Name name, std::uint64_t deadline) {
       while (slots[j].name != kFree) j = (j + 1) & mask;
       slots[j] = old[i];
     }
+    pool.give(std::move(old), old_cap);
   }
   std::uint64_t i = home(name, mask);
   while (slots[i].name != kFree && slots[i].name != name) i = (i + 1) & mask;
@@ -79,8 +101,9 @@ void LeaseSet::erase_at(std::uint64_t i) {
   size.store(size.load(std::memory_order_relaxed) - 1, std::memory_order_relaxed);
 }
 
-void LeaseSet::release_storage() {
-  slots.reset();
+void LeaseSet::release_storage(SlotPool& pool) {
+  const std::uint64_t cap = capacity();
+  pool.give(std::move(slots), cap);
   mask = 0;
   // mo:relaxed-ok(stored under mu; emptying needs no ordering)
   size.store(0, std::memory_order_relaxed);
@@ -161,7 +184,7 @@ void LeaseTable::open(sim::Name name, std::uint64_t now_ticks,
   LeaseSet& set = own_set(hb);
   {
     std::lock_guard<SimMutex> lock(set.mu);
-    set.put(name, now_ticks + ttl_);
+    set.put(name, now_ticks + ttl_, pool_);
     ++set.opened;
   }
   lower_gate(now_ticks + ttl_ + grace_);
@@ -229,7 +252,7 @@ bool LeaseTable::rebind(sim::Name name, std::uint64_t now_ticks,
       ok = on_holderless_locked(set, hb, name,
                                 [&](LeaseSet& s, std::uint64_t j) {
                                   s.erase_at(j);
-                                  set.put(name, deadline);
+                                  set.put(name, deadline, pool_);
                                 });
     }
   }
@@ -250,23 +273,21 @@ std::uint64_t LeaseTable::expire_locked(LeaseSet& set, std::uint64_t beat,
                                         std::vector<Expiry>& out) {
   std::uint64_t next = kNever;
   for (std::uint64_t i = 0; i < set.capacity();) {
-    const LeaseSet::Slot s = set.slots[i];
-    if (s.name == LeaseSet::kFree) {
-      ++i;
-      continue;
-    }
+    const detail::Slot s = set.slots[i];
     const std::uint64_t eff = effective_deadline(s.deadline, beat);
-    if (eff > now_ticks) {
-      next = std::min(next, eff);
+    if (s.name == detail::kFree || eff > now_ticks) {
+      if (s.name != detail::kFree) next = std::min(next, eff);
       ++i;
-      continue;
+    } else {
+      out.push_back({eff, s.name});
+      ++set.expired;
+      set.erase_at(i);  // a later entry may have shifted into slot i
     }
-    out.push_back({eff, s.name});
-    ++set.expired;
-    set.erase_at(i);  // a later entry may have shifted into slot i
   }
   // mo:relaxed-ok(read under mu, which every store of size holds)
-  if (set.size.load(std::memory_order_relaxed) == 0) set.release_storage();
+  if (set.size.load(std::memory_order_relaxed) == 0) {
+    set.release_storage(pool_);
+  }
   return next;
 }
 
@@ -292,9 +313,8 @@ std::size_t LeaseTable::reap_pass(std::uint64_t now_ticks,
                                   telemetry::MetricsRegistry::ThreadStripe* stripe,
                                   std::unique_lock<SimMutex>& pass_lock) {
   ++passes_;
-  // The reset comes before any set's size is read: an open this pass
-  // does not see reads the reset (or a later value) and lowers the gate
-  // itself (docs/leases.md, "The gate never hides a live lease").
+  // Reset before any size is read: an open this pass misses reads the
+  // reset and lowers the gate itself (the proof is in docs/leases.md).
   next_due_.store(kNever, std::memory_order_seq_cst);
   std::uint64_t due = kNever;
   std::vector<Expiry> out;
@@ -329,9 +349,9 @@ std::size_t LeaseTable::reap_pass(std::uint64_t now_ticks,
 }
 
 void LeaseTable::clear() {
-  for_each_set([](LeaseSet& set, const Heartbeat*) {
+  for_each_set([this](LeaseSet& set, const Heartbeat*) {
     std::lock_guard<SimMutex> lock(set.mu);
-    set.release_storage();
+    set.release_storage(pool_);
   });
   // mo:relaxed-ok(clear() requires quiescence, like the service reset)
   next_due_.store(kNever, std::memory_order_relaxed);

@@ -13,18 +13,16 @@
 //
 // Structure: leases are partitioned by holder. Each thread's Heartbeat
 // node for a service carries that holder's lease set (a SimMutex, a flat
-// open-addressed map name -> deadline and its exact tallies), so open,
-// close, renew, rebind and validate lock only the caller's own set: the
-// lock is uncontended and its lines stay in the caller's cache. Leases
-// opened without a heartbeat (unit tests) live in one table-owned set
-// that close, renew and rebind consult after missing in the caller's
-// own. A reap pass walks the holders: a holder whose heartbeat is fresh
-// cannot have a due lease and costs one load, and only a stale holder's
-// set is locked and checked entry by entry. The table keeps next_due, a
-// lower bound on every live lease's effective deadline, so the op-path
-// try_reap() is one load of a read-mostly word until a lease may be due.
-// Expiry checks are exact at the moment of expiry, so a lease can expire
-// late (by up to one reap poll interval), but never early: "zero false
+// map name -> deadline and its exact tallies), so open, close, renew,
+// rebind and validate lock only the caller's own, uncontended set, whose
+// lines stay in the caller's cache. Leases opened without a heartbeat
+// (unit tests) live in one table-owned set that close, renew and rebind
+// consult after a miss in the caller's own. A reap pass skips a holder
+// whose heartbeat is fresh (one load) and checks a stale holder's set
+// entry by entry. next_due, a lower bound on every live lease's
+// effective deadline, makes the op-path try_reap() one load until a
+// lease may be due. Expiry checks are exact, so a lease can expire late
+// (by up to one reap poll interval) but never early: "zero false
 // expiries of live renewing holders" is structural, not probabilistic.
 //
 // Close vs reap linearization: the holder set's lock is the arbiter.
@@ -58,28 +56,43 @@
 #include "telemetry/trace.h"
 
 namespace loren::lease {
+struct LeaseTablePeer;
 namespace detail {
 
+/// Marks a free slot; the services only lease non-negative names.
+inline constexpr sim::Name kFree = std::numeric_limits<sim::Name>::min();
+struct Slot {
+  sim::Name name = kFree;
+  std::uint64_t deadline = 0;  // open/renew tick + ttl (grace excluded)
+};
+
+/// Blocks of up to 1024 slots that emptied sets handed back, kept for the
+/// next set that grows: freeing an exited holder's block on the reaping
+/// thread bloats glibc's per-thread arenas (docs/leases.md).
+class SlotPool {
+ public:
+  /// A block of `capacity` free slots.
+  std::unique_ptr<Slot[]> take(std::uint64_t capacity);
+  void give(std::unique_ptr<Slot[]> block, std::uint64_t capacity);
+
+ private:
+  friend struct lease::LeaseTablePeer;
+  static constexpr unsigned kClasses = 8;  // capacities 8 << 0 .. 8 << 7
+  SimMutex mu_;  // a leaf lock, taken under a set's
+  std::vector<std::unique_ptr<Slot[]>> spare_[kClasses];
+};
+
 /// One holder's leases: a flat open-addressed map from name to deadline
-/// (linear probing, backward-shift erase, power-of-two capacity, no
-/// storage while empty-and-released) plus the holder's exact tallies.
-/// Every field but `size` is read and written only under `mu`.
+/// (linear probing, backward-shift erase, power-of-two capacity) plus the
+/// holder's exact tallies. Every field but `size` is used only under `mu`.
 struct LeaseSet {
-  /// Marks a free slot; the services only lease non-negative names.
-  static constexpr sim::Name kFree = std::numeric_limits<sim::Name>::min();
   static constexpr std::uint64_t kMinCapacity = 8;
-  struct Slot {
-    sim::Name name = kFree;
-    std::uint64_t deadline = 0;  // open/renew tick + ttl (grace excluded)
-  };
 
   SimMutex mu;
   // mo: seq_cst/relaxed — stored only under mu. The store that makes the
-  // set non-empty and a reap pass's unlocked read are seq_cst: with the
-  // pass's seq_cst reset of next_due and the opener's seq_cst read of it
-  // they form the store/load pair that keeps the gate from hiding a lease
-  // (docs/leases.md, "The gate never hides a live lease"). Every other
-  // store is relaxed.
+  // set non-empty and a pass's unlocked read are seq_cst: the store/load
+  // pair with next_due that keeps the gate from hiding a lease
+  // (docs/leases.md, "The gate never hides a live lease").
   std::atomic<std::uint32_t> size{0};
   std::uint32_t mask = 0;  // capacity - 1 while slots is non-null
   std::unique_ptr<Slot[]> slots;
@@ -95,12 +108,12 @@ struct LeaseSet {
   [[nodiscard]] static std::uint64_t capacity_for(std::uint64_t n);
   /// Slot of `name`, or capacity() when absent.
   [[nodiscard]] std::uint64_t find(sim::Name name) const;
-  /// Inserts `name` (or refreshes its deadline), growing as needed.
-  void put(sim::Name name, std::uint64_t deadline);
+  /// Inserts `name` (or refreshes its deadline), growing from `pool`.
+  void put(sim::Name name, std::uint64_t deadline, SlotPool& pool);
   /// Empties slot `i`, shifting its probe run back over the hole.
   void erase_at(std::uint64_t i);
-  /// Drops every entry and frees the storage.
-  void release_storage();
+  /// Drops every entry and hands the storage back to `pool`.
+  void release_storage(SlotPool& pool);
 };
 
 }  // namespace detail
@@ -251,10 +264,9 @@ class LeaseTable {
   /// holding hb_mu_ across the holders.
   template <class F>
   void for_each_set(F&& f) const;
-  /// Under the caller's own lock, after `name` missed there: when the
-  /// caller has a heartbeat, looks in the holderless set (taking its lock
-  /// inside the caller's) and applies `hit` there. Counts a guard trip on
-  /// `own` when that misses too.
+  /// After `name` missed in the caller's own (locked) set: applies `hit`
+  /// to it in the holderless set when the caller has a heartbeat, else
+  /// (or on a miss there too) counts a guard trip on `own`.
   template <class Hit>
   bool on_holderless_locked(detail::LeaseSet& own, const Heartbeat* hb,
                             sim::Name name, Hit&& hit);
@@ -284,10 +296,9 @@ class LeaseTable {
   void* reclaim_ctx_ = nullptr;
 
   // mo: seq_cst/relaxed — the reap gate: a lower bound on the effective
-  // deadline of every live lease, kNever with none. A pass resets it and
-  // an opener reads it seq_cst (the pair with LeaseSet::size); lowering
-  // is a CAS-min, and the op-path poll's read is relaxed (a stale value
-  // only moves a pass by one poll).
+  // deadline of every live lease (kNever with none). Reset by a pass and
+  // read by an opener seq_cst (the pair with LeaseSet::size), lowered by
+  // CAS-min; the op-path poll reads it relaxed.
   alignas(kCacheLine) std::atomic<std::uint64_t> next_due_{kNever};
   SimMutex pass_mu_;          // one pass at a time
   std::uint64_t passes_ = 0;  // under pass_mu_ (white-box tests)
@@ -298,6 +309,7 @@ class LeaseTable {
   alignas(kCacheLine) mutable SimMutex hb_mu_;
   std::vector<std::unique_ptr<Heartbeat>> heartbeats_;
   mutable detail::LeaseSet holderless_;
+  detail::SlotPool pool_;
 
   // Telemetry ids (sink-mapped when no registry is attached).
   telemetry::MetricsRegistry* registry_;

@@ -59,7 +59,7 @@ struct LeaseTablePeer {
       std::lock_guard<SimMutex> lock(set.mu);
       SetView v{0, set.size.load(), set.capacity()};
       for (std::uint64_t i = 0; i < v.capacity; ++i) {
-        if (set.slots[i].name != detail::LeaseSet::kFree) ++v.entries;
+        if (set.slots[i].name != detail::kFree) ++v.entries;
       }
       out.push_back(v);
     };
@@ -81,6 +81,13 @@ struct LeaseTablePeer {
   static std::uint64_t next_due(const LeaseTable& t) { return t.next_due_.load(); }
   static std::uint64_t capacity_for(std::uint64_t n) {
     return detail::LeaseSet::capacity_for(n);
+  }
+  /// Blocks waiting in the table's slot pool, over every size class.
+  static std::uint64_t spare_blocks(LeaseTable& t) {
+    std::lock_guard<SimMutex> lock(t.pool_.mu_);
+    std::uint64_t n = 0;
+    for (const auto& spare : t.pool_.spare_) n += spare.size();
+    return n;
   }
 };
 
@@ -579,7 +586,7 @@ TEST_F(LeaseUnit, ExitedHoldersAreReapedAndReleased) {
   // 500 short-lived holders, four alive at a time, each stamp once, open
   // two leases and exit without closing them. Their nodes outlive them:
   // every lease expires at stamp + ttl + grace, and every set the reaper
-  // empties frees its storage.
+  // empties hands its storage back to the table's pool.
   constexpr int kHolders = 500;
   constexpr int kWave = 4;
   Counting counting;
@@ -613,6 +620,11 @@ TEST_F(LeaseUnit, ExitedHoldersAreReapedAndReleased) {
     EXPECT_EQ(v.entries, 0u);
     EXPECT_EQ(v.capacity, 0u) << "an emptied set kept its storage";
   }
+  // The blocks wait in the table's pool; the next set that grows takes one.
+  const std::uint64_t spare = LeaseTablePeer::spare_blocks(t);
+  EXPECT_EQ(spare, static_cast<std::uint64_t>(kHolders));
+  t.open(2 * kHolders, t.now(), &t.register_thread(), nullptr);
+  EXPECT_EQ(LeaseTablePeer::spare_blocks(t), spare - 1);
 }
 
 // ---------------------------------------------- service integration ----
