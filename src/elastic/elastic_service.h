@@ -209,6 +209,8 @@ class ElasticRenamingService : public ServiceCore<ElasticRenamingService> {
   static constexpr bool kStaleStashHeld = true;
 
   ThreadNode& register_node() { return domain_.register_thread(); }
+  void retire_node(ThreadNode& node) { domain_.retire(node); }
+  [[nodiscard]] std::size_t node_count() const { return domain_.slots(); }
   [[nodiscard]] std::uint64_t stash_generation() const {
     return generation_.load(std::memory_order_acquire);
   }

@@ -1,7 +1,6 @@
 #include "lease/lease_table.h"
 
 #include <algorithm>
-#include <bit>
 
 namespace loren::lease {
 namespace detail {
@@ -15,27 +14,6 @@ std::uint64_t home(sim::Name name, std::uint64_t mask) {
 }
 
 }  // namespace
-
-std::unique_ptr<Slot[]> SlotPool::take(std::uint64_t capacity) {
-  const auto c = static_cast<unsigned>(std::countr_zero(capacity / LeaseSet::kMinCapacity));
-  if (c < kClasses) {
-    std::lock_guard<SimMutex> lock(mu_);
-    if (!spare_[c].empty()) {
-      std::unique_ptr<Slot[]> block = std::move(spare_[c].back());
-      spare_[c].pop_back();
-      std::fill_n(block.get(), capacity, Slot{});
-      return block;
-    }
-  }
-  return std::make_unique<Slot[]>(capacity);
-}
-
-void SlotPool::give(std::unique_ptr<Slot[]> block, std::uint64_t capacity) {
-  const auto c = static_cast<unsigned>(std::countr_zero(capacity / LeaseSet::kMinCapacity));
-  if (c >= kClasses) return;  // also an empty block (capacity 0)
-  std::lock_guard<SimMutex> lock(mu_);
-  spare_[c].push_back(std::move(block));
-}
 
 std::uint64_t LeaseSet::capacity_for(std::uint64_t n) {
   std::uint64_t c = kMinCapacity;
@@ -51,13 +29,13 @@ std::uint64_t LeaseSet::find(sim::Name name) const {
   }
 }
 
-void LeaseSet::put(sim::Name name, std::uint64_t deadline, SlotPool& pool) {
+void LeaseSet::put(sim::Name name, std::uint64_t deadline) {
   // mo:relaxed-ok(every store of size is made under mu, which we hold)
   const std::uint32_t n = size.load(std::memory_order_relaxed);
   if (const std::uint64_t want = capacity_for(n + 1); want > capacity()) {
     const std::uint64_t old_cap = capacity();
-    std::unique_ptr<Slot[]> old = std::move(slots);
-    slots = pool.take(want);
+    const std::unique_ptr<Slot[]> old = std::move(slots);
+    slots = std::make_unique<Slot[]>(want);
     mask = static_cast<std::uint32_t>(want - 1);
     for (std::uint64_t i = 0; i < old_cap; ++i) {
       if (old[i].name == kFree) continue;
@@ -65,7 +43,6 @@ void LeaseSet::put(sim::Name name, std::uint64_t deadline, SlotPool& pool) {
       while (slots[j].name != kFree) j = (j + 1) & mask;
       slots[j] = old[i];
     }
-    pool.give(std::move(old), old_cap);
   }
   std::uint64_t i = home(name, mask);
   while (slots[i].name != kFree && slots[i].name != name) i = (i + 1) & mask;
@@ -101,10 +78,8 @@ void LeaseSet::erase_at(std::uint64_t i) {
   size.store(size.load(std::memory_order_relaxed) - 1, std::memory_order_relaxed);
 }
 
-void LeaseSet::release_storage(SlotPool& pool) {
-  const std::uint64_t cap = capacity();
-  pool.give(std::move(slots), cap);
-  mask = 0;
+void LeaseSet::clear() {
+  std::fill_n(slots.get(), capacity(), Slot{});
   // mo:relaxed-ok(stored under mu; emptying needs no ordering)
   size.store(0, std::memory_order_relaxed);
 }
@@ -131,19 +106,46 @@ LeaseTable::LeaseTable(const LeaseOptions& opts,
 }
 
 Heartbeat& LeaseTable::register_thread() {
-  std::lock_guard<SimMutex> lock(hb_mu_);
-  heartbeats_.push_back(std::make_unique<Heartbeat>());
-  return *heartbeats_.back();
+  Heartbeat& hb = heartbeats_.acquire();
+  // A recycled node's set is empty and its old holder gone; only the
+  // stamp needs resetting, so the new holder starts with no stale gap.
+  // mo:relaxed-ok(single-writer stamp, written before the new owner's
+  // first op; a pass reads it only for a non-empty set)
+  hb.last.store(0, std::memory_order_relaxed);
+  return hb;
+}
+
+void LeaseTable::retire_thread(Heartbeat& hb) {
+  {
+    LeaseSet& set = hb.leases_;
+    std::lock_guard<SimMutex> lock(set.mu);
+    // mo:relaxed-ok(read under mu, which every store of size holds)
+    if (set.size.load(std::memory_order_relaxed) != 0) {
+      set.orphaned = true;  // the pass that empties the set recycles it
+      return;
+    }
+  }
+  heartbeats_.retire(hb);
 }
 
 template <class F>
 void LeaseTable::for_each_set(F&& f) const {
-  {
-    // Lock order: hb_mu_, then a holder's set.
-    std::lock_guard<SimMutex> lock(hb_mu_);
-    for (const auto& hb : heartbeats_) f(hb->leases_, hb.get());
+  // Lock order: the heartbeat registry's lock, then a holder's set.
+  heartbeats_.for_each([&](Heartbeat& hb) { f(hb.leases_, &hb); });
+  f(holderless_, static_cast<Heartbeat*>(nullptr));
+}
+
+void LeaseTable::note_orphan_locked(LeaseSet& set, Heartbeat* hb,
+                                    std::vector<Heartbeat*>& out) {
+  // mo:relaxed-ok(read under mu, which every store of size holds)
+  if (set.orphaned && set.size.load(std::memory_order_relaxed) == 0) {
+    set.orphaned = false;  // exactly one pass recycles the node
+    out.push_back(hb);
   }
-  f(holderless_, static_cast<const Heartbeat*>(nullptr));
+}
+
+void LeaseTable::retire_orphans(const std::vector<Heartbeat*>& orphans) {
+  for (Heartbeat* hb : orphans) heartbeats_.retire(*hb);
 }
 
 template <class Hit>
@@ -184,7 +186,7 @@ void LeaseTable::open(sim::Name name, std::uint64_t now_ticks,
   LeaseSet& set = own_set(hb);
   {
     std::lock_guard<SimMutex> lock(set.mu);
-    set.put(name, now_ticks + ttl_, pool_);
+    set.put(name, now_ticks + ttl_);
     ++set.opened;
   }
   lower_gate(now_ticks + ttl_ + grace_);
@@ -239,7 +241,8 @@ bool LeaseTable::renew(sim::Name name, std::uint64_t now_ticks,
 }
 
 bool LeaseTable::rebind(sim::Name name, std::uint64_t now_ticks,
-                        const Heartbeat* hb) {
+                        const Heartbeat* hb,
+                        telemetry::MetricsRegistry::ThreadStripe* stripe) {
   LeaseSet& set = own_set(hb);
   const std::uint64_t deadline = now_ticks + ttl_;
   bool ok = true;
@@ -252,19 +255,27 @@ bool LeaseTable::rebind(sim::Name name, std::uint64_t now_ticks,
       ok = on_holderless_locked(set, hb, name,
                                 [&](LeaseSet& s, std::uint64_t j) {
                                   s.erase_at(j);
-                                  set.put(name, deadline, pool_);
+                                  set.put(name, deadline);
                                 });
     }
   }
-  if (ok) lower_gate(deadline + grace_);
+  if (ok) {
+    lower_gate(deadline + grace_);
+  } else if (stripe != nullptr) {
+    stripe->add(ctr_guard_trips_);
+  }
   return ok;
 }
 
-bool LeaseTable::validate(sim::Name name, const Heartbeat* hb) {
+bool LeaseTable::validate(sim::Name name, const Heartbeat* hb,
+                          telemetry::MetricsRegistry::ThreadStripe* stripe) {
   LeaseSet& set = own_set(hb);
-  std::lock_guard<SimMutex> lock(set.mu);
-  if (set.find(name) != set.capacity()) return true;
-  ++set.guard_trips;
+  {
+    std::lock_guard<SimMutex> lock(set.mu);
+    if (set.find(name) != set.capacity()) return true;
+    ++set.guard_trips;
+  }
+  if (stripe != nullptr) stripe->add(ctr_guard_trips_);
   return false;
 }
 
@@ -283,10 +294,6 @@ std::uint64_t LeaseTable::expire_locked(LeaseSet& set, std::uint64_t beat,
       ++set.expired;
       set.erase_at(i);  // a later entry may have shifted into slot i
     }
-  }
-  // mo:relaxed-ok(read under mu, which every store of size holds)
-  if (set.size.load(std::memory_order_relaxed) == 0) {
-    set.release_storage(pool_);
   }
   return next;
 }
@@ -318,7 +325,8 @@ std::size_t LeaseTable::reap_pass(std::uint64_t now_ticks,
   next_due_.store(kNever, std::memory_order_seq_cst);
   std::uint64_t due = kNever;
   std::vector<Expiry> out;
-  for_each_set([&](LeaseSet& set, const Heartbeat* hb) {
+  std::vector<Heartbeat*> orphans;
+  for_each_set([&](LeaseSet& set, Heartbeat* hb) {
     if (set.size.load(std::memory_order_seq_cst) == 0) return;
     // mo:relaxed-ok(single-writer heartbeat stamp; a stale read only
     // delays expiry by one reap pass, the max() can't go early)
@@ -331,8 +339,10 @@ std::size_t LeaseTable::reap_pass(std::uint64_t now_ticks,
     }
     std::lock_guard<SimMutex> lock(set.mu);
     due = std::min(due, expire_locked(set, beat, now_ticks, out));
+    note_orphan_locked(set, hb, orphans);
   });
   lower_gate(due);
+  retire_orphans(orphans);
   pass_lock.unlock();
   std::stable_sort(out.begin(), out.end(),
                    [](const Expiry& a, const Expiry& b) { return a.due < b.due; });
@@ -349,10 +359,13 @@ std::size_t LeaseTable::reap_pass(std::uint64_t now_ticks,
 }
 
 void LeaseTable::clear() {
-  for_each_set([this](LeaseSet& set, const Heartbeat*) {
+  std::vector<Heartbeat*> orphans;
+  for_each_set([&](LeaseSet& set, Heartbeat* hb) {
     std::lock_guard<SimMutex> lock(set.mu);
-    set.release_storage(pool_);
+    set.clear();
+    note_orphan_locked(set, hb, orphans);
   });
+  retire_orphans(orphans);
   // mo:relaxed-ok(clear() requires quiescence, like the service reset)
   next_due_.store(kNever, std::memory_order_relaxed);
 }

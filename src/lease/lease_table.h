@@ -51,12 +51,12 @@
 
 #include "platform/cacheline.h"
 #include "platform/sim_point.h"
+#include "platform/thread_nodes.h"
 #include "sim/env.h"
 #include "telemetry/metrics.h"
 #include "telemetry/trace.h"
 
 namespace loren::lease {
-struct LeaseTablePeer;
 namespace detail {
 
 /// Marks a free slot; the services only lease non-negative names.
@@ -66,25 +66,11 @@ struct Slot {
   std::uint64_t deadline = 0;  // open/renew tick + ttl (grace excluded)
 };
 
-/// Blocks of up to 1024 slots that emptied sets handed back, kept for the
-/// next set that grows: freeing an exited holder's block on the reaping
-/// thread bloats glibc's per-thread arenas (docs/leases.md).
-class SlotPool {
- public:
-  /// A block of `capacity` free slots.
-  std::unique_ptr<Slot[]> take(std::uint64_t capacity);
-  void give(std::unique_ptr<Slot[]> block, std::uint64_t capacity);
-
- private:
-  friend struct lease::LeaseTablePeer;
-  static constexpr unsigned kClasses = 8;  // capacities 8 << 0 .. 8 << 7
-  SimMutex mu_;  // a leaf lock, taken under a set's
-  std::vector<std::unique_ptr<Slot[]>> spare_[kClasses];
-};
-
 /// One holder's leases: a flat open-addressed map from name to deadline
 /// (linear probing, backward-shift erase, power-of-two capacity) plus the
 /// holder's exact tallies. Every field but `size` is used only under `mu`.
+/// An emptied set keeps its storage, for its holder or, once the node is
+/// recycled, for the node's next owner; the tallies carry over too.
 struct LeaseSet {
   static constexpr std::uint64_t kMinCapacity = 8;
 
@@ -100,6 +86,9 @@ struct LeaseSet {
   std::uint64_t closed = 0;
   std::uint64_t expired = 0;
   std::uint64_t guard_trips = 0;
+  /// The holder exited while the set still held leases: the reap pass
+  /// that empties the set retires the node.
+  bool orphaned = false;
 
   [[nodiscard]] std::uint64_t capacity() const {
     return slots != nullptr ? std::uint64_t{mask} + 1 : 0;
@@ -108,12 +97,12 @@ struct LeaseSet {
   [[nodiscard]] static std::uint64_t capacity_for(std::uint64_t n);
   /// Slot of `name`, or capacity() when absent.
   [[nodiscard]] std::uint64_t find(sim::Name name) const;
-  /// Inserts `name` (or refreshes its deadline), growing from `pool`.
-  void put(sim::Name name, std::uint64_t deadline, SlotPool& pool);
+  /// Inserts `name` (or refreshes its deadline), growing as needed.
+  void put(sim::Name name, std::uint64_t deadline);
   /// Empties slot `i`, shifting its probe run back over the hole.
   void erase_at(std::uint64_t i);
-  /// Drops every entry and hands the storage back to `pool`.
-  void release_storage(SlotPool& pool);
+  /// Drops every entry, keeping the storage.
+  void clear();
 };
 
 }  // namespace detail
@@ -122,8 +111,10 @@ struct LeaseSet {
 /// set: every op the thread performs against the service relaxed-stores
 /// the current tick here, which renews *all* of that thread's leases at
 /// once (the reaper max()es the stamp into every effective deadline).
-/// Nodes are owned by the LeaseTable and live as long as it does, so a
-/// holder's leases stay reapable after its thread exits.
+/// Nodes are owned by the LeaseTable, so a holder's leases stay reapable
+/// after its thread exits; a node is recycled to a new thread only once
+/// its set is empty and its holder gone (docs/leases.md, "Recycled
+/// holder nodes").
 struct alignas(kCacheLine) Heartbeat {
   // mo: relaxed -- single-writer freshness stamp: only the owning thread
   // stores; the reaper reads it without a lock and tolerates a stale
@@ -176,10 +167,16 @@ class LeaseTable {
     reclaim_ctx_ = ctx;
   }
 
-  /// One-time per thread; callers cache the node. Nodes are never
-  /// deregistered (same contract as RegisteredCounter). Every non-null
+  /// One-time per thread; callers cache the node, which may be an exited
+  /// holder's (its stamp reset to 0, its set empty). Every non-null
   /// Heartbeat passed to the calls below must come from this table.
   Heartbeat& register_thread();
+
+  /// The holder's thread is done with `hb` (thread exit): the node is
+  /// recycled at once when its set is empty, else marked orphaned and
+  /// recycled by the reap pass that expires its last lease. The caller
+  /// must not present `hb` again.
+  void retire_thread(Heartbeat& hb);
 
   [[nodiscard]] std::uint64_t now() const { return clock_(); }
   [[nodiscard]] std::uint64_t ttl() const { return ttl_; }
@@ -217,13 +214,15 @@ class LeaseTable {
   /// stealable; false is a counted guard trip and the caller must not
   /// absorb the name.
   [[nodiscard]] bool rebind(sim::Name name, std::uint64_t now_ticks,
-                            const Heartbeat* hb);
+                            const Heartbeat* hb,
+                            telemetry::MetricsRegistry::ThreadStripe* stripe);
 
   /// True iff a lease on `name` exists and is held by `hb` — the stash
   /// revalidation probe a thread runs after noticing its own heartbeat
   /// went stale (its stashed names may have been reaped and reissued).
   /// A mismatch is counted as a guard trip.
-  [[nodiscard]] bool validate(sim::Name name, const Heartbeat* hb);
+  [[nodiscard]] bool validate(sim::Name name, const Heartbeat* hb,
+                              telemetry::MetricsRegistry::ThreadStripe* stripe);
 
   /// Expires every stale lease and reclaims its cell via the callback,
   /// in effective-deadline order. Returns the number of cells reclaimed.
@@ -243,6 +242,9 @@ class LeaseTable {
   [[nodiscard]] std::uint64_t opened() const;
   [[nodiscard]] std::uint64_t expired() const;
   [[nodiscard]] std::uint64_t guard_trips() const;
+  /// Heartbeat nodes allocated: at most the peak count of holders that
+  /// were registered, or exited with leases not yet reaped, at once.
+  [[nodiscard]] std::size_t holders() const { return heartbeats_.size(); }
 
  private:
   friend struct LeaseTablePeer;  // white-box set and gate checks (lease_test)
@@ -261,9 +263,15 @@ class LeaseTable {
     return hb != nullptr ? hb->leases_ : holderless_;
   }
   /// Calls f(set, hb) for every set, holderless last (hb null there),
-  /// holding hb_mu_ across the holders.
+  /// holding the heartbeat registry's lock across the holders.
   template <class F>
   void for_each_set(F&& f) const;
+  /// Under `set`'s lock, after it may have emptied: an orphaned set that
+  /// is now empty queues its node in `out` for recycling.
+  static void note_orphan_locked(detail::LeaseSet& set, Heartbeat* hb,
+                                 std::vector<Heartbeat*>& out);
+  /// Recycles the nodes note_orphan_locked queued (no set lock held).
+  void retire_orphans(const std::vector<Heartbeat*>& orphans);
   /// After `name` missed in the caller's own (locked) set: applies `hit`
   /// to it in the holderless set when the caller has a heartbeat, else
   /// (or on a miss there too) counts a guard trip on `own`.
@@ -303,13 +311,13 @@ class LeaseTable {
   SimMutex pass_mu_;          // one pass at a time
   std::uint64_t passes_ = 0;  // under pass_mu_ (white-box tests)
 
-  // Heartbeat registry (one node per thread per service). A pass walks
-  // it under hb_mu_, so a holder registered after the walk opens its
-  // first lease after that pass's reset of next_due.
-  alignas(kCacheLine) mutable SimMutex hb_mu_;
-  std::vector<std::unique_ptr<Heartbeat>> heartbeats_;
+  // Heartbeat registry (one node per live thread per service; exited
+  // threads' nodes are recycled). A pass walks it under the registry's
+  // lock, so a holder registered after the walk opens its first lease
+  // after that pass's reset of next_due. A SimMutex: the walk locks
+  // holder sets inside it.
+  alignas(kCacheLine) ThreadNodes<Heartbeat, SimMutex> heartbeats_;
   mutable detail::LeaseSet holderless_;
-  detail::SlotPool pool_;
 
   // Telemetry ids (sink-mapped when no registry is attached).
   telemetry::MetricsRegistry* registry_;

@@ -29,19 +29,21 @@
 // quiesced() scan sees the reader's published (old) epoch and waits.
 //
 // quiesced(E) is a cold-path scan under the registry mutex; it never
-// blocks readers. Slots live as long as the domain (threads never
-// deregister), matching the RegisteredCounter contract: a dead thread's
-// slot stays idle forever and costs one cache line.
+// blocks readers. Slots live in a ThreadNodes registry (thread_nodes.h):
+// a thread that exits retires its slot, idle, and the next thread to
+// register reuses it, so the slots (and every quiesced() scan) number at
+// most the peak count of threads registered at once. An idle slot blocks
+// no epoch, so handing one over needs no reset.
 #pragma once
 
 #include <atomic>
+#include <cassert>
 #include <cstdint>
-#include <memory>
 #include <mutex>
-#include <vector>
 
 #include "platform/cacheline.h"
 #include "platform/sim_point.h"
+#include "platform/thread_nodes.h"
 #include "telemetry/trace.h"
 
 namespace loren {
@@ -61,10 +63,15 @@ class EpochDomain {
 
   /// One-time per (thread, domain); callers cache the returned slot in a
   /// thread-local. Safe to call concurrently.
-  Slot& register_thread() {
-    std::lock_guard<std::mutex> lock(mu_);
-    slots_.push_back(std::make_unique<Slot>());
-    return *slots_.back();
+  Slot& register_thread() { return slots_.acquire(); }
+
+  /// The owning thread gives its slot up (at thread exit). Only an idle
+  /// slot may be retired: a pin held past retirement would be lost to the
+  /// slot's next owner's unpin.
+  void retire(Slot& slot) {
+    // mo:relaxed-ok(the owner's own last store, read back by its thread)
+    assert(slot.pinned.load(std::memory_order_relaxed) == kIdle);
+    slots_.retire(slot);
   }
 
   /// RAII pin: the domain's current epoch is published in `slot` for the
@@ -120,28 +127,25 @@ class EpochDomain {
   /// ended (and, via the release/acquire pair on the slot, everything it
   /// wrote is visible to the caller). New pins at >= `epoch` don't block.
   [[nodiscard]] bool quiesced(std::uint64_t epoch) const {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const auto& slot : slots_) {
-      const std::uint64_t p = slot->pinned.load(std::memory_order_seq_cst);
-      if (p != kIdle && p < epoch) return false;
-    }
-    return true;
+    bool quiet = true;
+    slots_.for_each([&](const Slot& slot) {
+      const std::uint64_t p = slot.pinned.load(std::memory_order_seq_cst);
+      if (p != kIdle && p < epoch) quiet = false;
+    });
+    return quiet;
   }
 
-  /// Registered slot count (diagnostics).
-  [[nodiscard]] std::size_t slots() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return slots_.size();
-  }
+  /// Slots allocated (diagnostics): at most the peak count of threads
+  /// registered at once.
+  [[nodiscard]] std::size_t slots() const { return slots_.size(); }
 
  private:
   // mo: seq_cst, acquire -- advance()'s seq_cst RMW orders against pin
   // publication; acquire loads just snapshot the current epoch.
   alignas(kCacheLine) std::atomic<std::uint64_t> global_{1};
-  // sim:lock-ok(cold slot registry; its critical sections -- vector
-  // push_back and the quiesced() scan -- never hit a sim point)
-  mutable std::mutex mu_;
-  std::vector<std::unique_ptr<Slot>> slots_;
+  // sim:lock-ok(cold slot registry; its critical sections -- acquire,
+  // retire and the quiesced() scan -- never hit a sim point)
+  ThreadNodes<Slot, std::mutex> slots_;
 };
 
 }  // namespace loren

@@ -13,18 +13,19 @@
 // sum() walks the registry under a mutex (cold path) and is approximate
 // while writers are in flight, exact once they have quiesced *and*
 // synchronized with the reader (e.g. via thread join) — the same contract
-// as StripedCounter. Nodes live as long as the counter, so a thread that
-// exits leaves its net contribution behind, which is exactly right for
-// "how many names are live" (names outlive threads).
+// as StripedCounter. Nodes live in a ThreadNodes registry
+// (thread_nodes.h): a thread that exits retires its node, value and all,
+// and the next thread to register adds on top of it. The sum stays exact
+// — a dead thread's net contribution is never lost, which is exactly
+// right for "how many names are live" (names outlive threads) — and the
+// nodes number at most the peak count of threads registered at once.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
-#include <mutex>
-#include <vector>
 
 #include "platform/cacheline.h"
+#include "platform/thread_nodes.h"
 
 namespace loren {
 
@@ -37,12 +38,13 @@ class RegisteredCounter {
   };
 
   /// One-time per thread (callers cache the returned node, e.g. in a
-  /// thread_local). Safe to call concurrently.
-  Node& register_thread() {
-    std::lock_guard<std::mutex> lock(mu_);
-    nodes_.push_back(std::make_unique<Node>());
-    return *nodes_.back();
-  }
+  /// thread_local). Safe to call concurrently. The node may be a retired
+  /// one, still carrying its old owner's contribution.
+  Node& register_thread() { return nodes_.acquire(); }
+
+  /// The owning thread gives its node up (at thread exit); its value
+  /// stays in the sum.
+  void retire(Node& node) { nodes_.retire(node); }
 
   /// Single-writer add: only the owning thread may pass its node.
   static void add(Node& node, std::int64_t delta) {
@@ -51,22 +53,24 @@ class RegisteredCounter {
   }
 
   [[nodiscard]] std::int64_t sum() const {
-    std::lock_guard<std::mutex> lock(mu_);
     std::int64_t total = 0;
-    for (const auto& n : nodes_) total += n->v.load(std::memory_order_relaxed);
+    nodes_.for_each(
+        [&](const Node& n) { total += n.v.load(std::memory_order_relaxed); });
     return total;
   }
 
   /// Not thread-safe with concurrent add() (same contract as the arenas'
   /// reset()).
   void reset() {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (auto& n : nodes_) n->v.store(0, std::memory_order_relaxed);
+    nodes_.for_each([](Node& n) { n.v.store(0, std::memory_order_relaxed); });
   }
 
+  /// Nodes allocated (diagnostics): at most the peak count of threads
+  /// registered at once.
+  [[nodiscard]] std::size_t nodes() const { return nodes_.size(); }
+
  private:
-  mutable std::mutex mu_;
-  std::vector<std::unique_ptr<Node>> nodes_;
+  ThreadNodes<Node> nodes_;
 };
 
 }  // namespace loren

@@ -122,6 +122,8 @@ class RenamingService : public ServiceCore<RenamingService> {
   static constexpr bool kStaleStashHeld = false;
 
   ThreadNode& register_node() { return live_.register_thread(); }
+  void retire_node(ThreadNode& node) { live_.retire(node); }
+  [[nodiscard]] std::size_t node_count() const { return live_.nodes(); }
   [[nodiscard]] std::uint64_t stash_generation() const {
     // mo:relaxed-ok(invalidation stamp compare; see cache_gen_'s contract)
     return cache_gen_.load(std::memory_order_relaxed);

@@ -26,8 +26,10 @@
 // befriending the core; every hook is a direct, inlinable call, so no
 // virtual call or std::function sits on an op path:
 //
-//   ThreadNode, register_node()  per-thread registration: a live-counter
-//                                node (fixed) or an epoch slot (elastic)
+//   ThreadNode, register_node(), retire_node(), node_count()
+//                                per-thread registration: a live-counter
+//                                node (fixed) or an epoch slot (elastic),
+//                                retired at thread exit for reuse
 //   ThreadExtra, retag_stash()   policy per-thread state, re-pinned when
 //                                the stash moves to a new generation
 //   kMetricPrefix                "service" / "elastic"
@@ -155,14 +157,20 @@ struct ThreadCtx {
   PerServiceTable<Payload> services;
 
   ThreadCtx(std::uint64_t seed, std::uint64_t slot_)
-      : slot(slot_), rng(mix_seed(seed, slot_)) {}
+      : slot(slot_), rng(mix_seed(seed, slot_)) {
+    // The exit flush below records into this thread's cached stripes: the
+    // stripe table must be constructed first, so that it is destroyed
+    // after this context and hands the stripes on only once the flush is
+    // done with them.
+    telemetry::MetricsRegistry::anchor_thread_stripes();
+  }
   ThreadCtx(const ThreadCtx&) = delete;
   ThreadCtx& operator=(const ThreadCtx&) = delete;
 
   /// Thread exit: hand every still-registered service its per-thread
-  /// state so stashed names are flushed, not stranded. Runs during TLS
-  /// destruction; the directory callback works only off the payload's
-  /// cached pointers.
+  /// state so stashed names are flushed, not stranded, and the thread's
+  /// nodes are retired for reuse. Runs during TLS destruction; the
+  /// directory callback works only off the payload's cached pointers.
   ~ThreadCtx() {
     services.for_each([](std::uint64_t id, Payload& p) {
       ServiceDirectory::instance().flush(id, &p);
@@ -264,6 +272,10 @@ class ServiceCore {
   }
   /// The underlying table (null with leasing off), for introspection.
   [[nodiscard]] lease::LeaseTable* lease_table() const { return leases_.get(); }
+  /// The policy's per-thread nodes allocated (live-count nodes or epoch
+  /// slots): at most the peak count of threads registered at once, since
+  /// an exiting thread's node goes to the next thread that registers.
+  [[nodiscard]] std::size_t thread_nodes() const { return self().node_count(); }
 
   /// Aggregate name-cache statistics, folded in window-at-a-time from the
   /// per-thread stashes (they lag by up to one adaptation window per
@@ -313,7 +325,8 @@ class ServiceCore {
     telemetry::MetricsRegistry::ThreadStripe* stripe = nullptr;
     Xoshiro256* rng = nullptr;  // the ThreadCtx's generator
     /// This thread's lease heartbeat (null until the first op under a
-    /// leasing service; heap-owned by the LeaseTable, outlives the thread).
+    /// leasing service; heap-owned by the LeaseTable, retired at thread
+    /// exit).
     lease::Heartbeat* hb = nullptr;
     /// The sticky shard hint. It moves as soon as wins arrive late in the
     /// schedule or the schedule misses, so a loaded home shard is not a
@@ -424,7 +437,7 @@ class ServiceCore {
   /// a stash hit.
   bool lease_rebound(sim::Name name, const PerThread& per) {
     return leases_ == nullptr ||
-           leases_->rebind(name, leases_->now(), per.hb) ||
+           leases_->rebind(name, leases_->now(), per.hb, per.stripe) ||
            !leases_->release_guard();
   }
 
@@ -451,9 +464,10 @@ class ServiceCore {
   /// unlike the sampled probe histograms.
   void note_walk(PerThread& per, const ShardGroup::ProbeStats& stats);
 
-  /// ServiceDirectory::FlushFn: an exiting thread's stash flush, driven
-  /// entirely off the payload's cached pointers (mid-TLS-destruction: no
-  /// thread_local lookups are legal).
+  /// ServiceDirectory::FlushFn: an exiting thread's stash flush, then
+  /// the retirement of its policy node and heartbeat, driven entirely off
+  /// the payload's cached pointers (mid-TLS-destruction: no thread_local
+  /// lookups are legal).
   static void exit_flush(void* core, void* payload);
   /// LeaseTable::ReclaimFn trampoline onto the policy's reclaim_cell.
   static bool reclaim_trampoline(void* core, sim::Name name) {
@@ -554,17 +568,28 @@ template <class Derived>
 void ServiceCore<Derived>::exit_flush(void* core, void* payload) {
   auto& c = *static_cast<ServiceCore*>(core);
   auto& per = *static_cast<PerThread*>(payload);
-  if (per.stash.empty()) return;
-  // The node registers without TLS (mutex + heap); the stripe does not
-  // (MetricsRegistry::stripe() probes a thread_local table), so a thread
-  // that never cached one flushes uninstrumented.
-  if (per.node == nullptr) per.node = &c.self().register_node();
-  c.sync_stash(per);
-  if (per.stash.empty()) return;
-  if (per.stripe != nullptr) per.stripe->add(c.ins_.stash_flushes);
-  sim::Name buf[NameStash::kMaxCapacity];
-  const std::uint32_t n = per.stash.take_oldest(buf, per.stash.size());
-  c.release_shared(buf, n, per);
+  if (!per.stash.empty()) {
+    // The node registers without TLS (mutex + heap); the stripe does not
+    // (MetricsRegistry::stripe() probes a thread_local table), so a
+    // thread that never cached one flushes uninstrumented.
+    if (per.node == nullptr) per.node = &c.self().register_node();
+    c.sync_stash(per);
+    if (!per.stash.empty()) {
+      if (per.stripe != nullptr) per.stripe->add(c.ins_.stash_flushes);
+      sim::Name buf[NameStash::kMaxCapacity];
+      const std::uint32_t n = per.stash.take_oldest(buf, per.stash.size());
+      c.release_shared(buf, n, per);
+    }
+  }
+  // The thread is done with its nodes: hand them to the next thread that
+  // registers. The counter node keeps its net count and the epoch slot is
+  // idle (no op is in flight); a heartbeat whose set still holds leases
+  // stays with the table until the reap pass that empties it.
+  if (per.node != nullptr) c.self().retire_node(*per.node);
+  if (per.hb != nullptr) c.leases_->retire_thread(*per.hb);
+  per.node = nullptr;
+  per.hb = nullptr;
+  per.stripe = nullptr;
 }
 
 template <class Derived>
@@ -586,7 +611,9 @@ void ServiceCore<Derived>::lease_prologue(PerThread& per) {
     sim::Name buf[NameStash::kMaxCapacity];
     const std::uint32_t n = per.stash.take_oldest(buf, per.stash.size());
     for (std::uint32_t i = 0; i < n; ++i) {
-      if (leases_->validate(buf[i], per.hb)) per.stash.push(buf[i]);
+      if (leases_->validate(buf[i], per.hb, per.stripe)) {
+        per.stash.push(buf[i]);
+      }
     }
   }
   if ((per.lease_poll++ & kLeasePollMask) == 0) {

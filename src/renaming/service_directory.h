@@ -10,8 +10,14 @@
 // payload to flush. The payload pointer is passed directly — the exiting
 // thread is mid-TLS-destruction, so the callback must never re-enter
 // thread_local lookups; it works only off the payload's cached pointers
-// (counter node, stripe, epoch slot — all heap-owned by the service and
-// guaranteed to outlive the thread).
+// (counter node, stripe, epoch slot, heartbeat — all heap-owned by the
+// service or its registry and guaranteed to outlive the thread), and
+// retires those nodes for the next thread that registers.
+//
+// Metrics registries (telemetry/metrics.h) draw their ids from the same
+// sequence and register here too: an exiting thread's stripe table hands
+// each stripe back through flush(), so a registry shared by several
+// services gets its stripes back exactly once.
 //
 // Locking: the directory mutex is held across the callback, so a service
 // destructor's unregister() blocks until in-flight exit flushes drain —

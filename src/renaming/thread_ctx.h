@@ -226,20 +226,17 @@ class PerServiceTable {
   PerServiceTable() : entries_(16) {}  // power-of-two capacity
 
   /// The payload for `service_id`; on first touch the entry is default-
-  /// constructed and `init(payload)` runs once.
+  /// constructed and `init(payload)` runs once. The hit is forced inline
+  /// (every service op starts with it) and the first touch kept out of
+  /// line, so the op paths' inlining does not hinge on the init's size.
   template <class Init>
-  Payload& for_service(std::uint64_t service_id, Init&& init) {
-    std::size_t i = probe(entries_, service_id);
-    if (entries_[i].service_id == service_id) return entries_[i].payload;
-    if ((distinct_ + 1) * 2 > entries_.size()) {
-      grow();
-      i = probe(entries_, service_id);
+  [[gnu::always_inline]] inline Payload& for_service(std::uint64_t service_id,
+                                                     Init&& init) {
+    const std::size_t i = probe(entries_, service_id);
+    if (entries_[i].service_id == service_id) [[likely]] {
+      return entries_[i].payload;
     }
-    ++distinct_;
-    entries_[i].service_id = service_id;
-    entries_[i].payload = Payload{};
-    init(entries_[i].payload);
-    return entries_[i].payload;
+    return insert(service_id, init);
   }
 
   /// Visits every occupied entry as (service_id, payload&). The thread-
@@ -258,6 +255,17 @@ class PerServiceTable {
     std::uint64_t service_id = 0;  // 0 = empty
     Payload payload{};
   };
+
+  template <class Init>
+  [[gnu::noinline]] Payload& insert(std::uint64_t service_id, Init& init) {
+    if ((distinct_ + 1) * 2 > entries_.size()) grow();
+    const std::size_t i = probe(entries_, service_id);
+    ++distinct_;
+    entries_[i].service_id = service_id;
+    entries_[i].payload = Payload{};
+    init(entries_[i].payload);
+    return entries_[i].payload;
+  }
 
   /// Index of service_id's entry, or of the empty slot where it belongs.
   static std::size_t probe(const std::vector<Entry>& table,

@@ -4,16 +4,40 @@
 
 #include <ostream>
 
-// PerServiceTable / next_service_instance_id are the generic
-// per-(thread, instance) plumbing the services already use; the registry
-// keys its thread-local stripe cache the same way — by process-unique
-// instance id, never `this`, so a registry constructed at a dead
-// registry's recycled address can never inherit stale stripe pointers.
+// PerServiceTable / next_service_instance_id / ServiceDirectory are the
+// generic per-(thread, instance) plumbing the services already use; the
+// registry keys its thread-local stripe cache the same way — by
+// process-unique instance id, never `this`, so a registry constructed at
+// a dead registry's recycled address can never inherit stale stripe
+// pointers — and finds a live registry to retire a stripe into through
+// the same directory the services' exit flush uses.
+#include "renaming/service_directory.h"
 #include "renaming/thread_ctx.h"
 
 namespace loren::telemetry {
 
 namespace {
+
+/// The calling thread's stripe per registry. Its destructor, at thread
+/// exit, retires each stripe into its registry; a registry already
+/// destroyed has left the directory, and the flush is a no-op.
+struct StripeTable {
+  PerServiceTable<MetricsRegistry::ThreadStripe*> stripes;
+
+  StripeTable() = default;
+  StripeTable(const StripeTable&) = delete;
+  StripeTable& operator=(const StripeTable&) = delete;
+  ~StripeTable() {
+    stripes.for_each([](std::uint64_t id, MetricsRegistry::ThreadStripe*& s) {
+      if (s != nullptr) ServiceDirectory::instance().flush(id, s);
+    });
+  }
+};
+
+StripeTable& tls_stripes() {
+  thread_local StripeTable table;
+  return table;
+}
 
 std::uint64_t pct_index(std::uint64_t count, double q) {
   // Index (1-based rank) of the q-quantile sample; clamped to [1, count].
@@ -60,9 +84,23 @@ const HistogramSnapshot* MetricsSnapshot::histogram(
   return nullptr;
 }
 
-MetricsRegistry::MetricsRegistry() : id_(next_service_instance_id()) {}
+MetricsRegistry::MetricsRegistry() : id_(next_service_instance_id()) {
+  ServiceDirectory::instance().register_service(id_, this,
+                                                &MetricsRegistry::retire_stripe);
+}
 
-MetricsRegistry::~MetricsRegistry() = default;
+// Leaving the directory first blocks until in-flight retires drain; after
+// it, an exiting thread's table finds the registry gone.
+MetricsRegistry::~MetricsRegistry() {
+  ServiceDirectory::instance().unregister_service(id_);
+}
+
+void MetricsRegistry::retire_stripe(void* registry, void* stripe) {
+  static_cast<MetricsRegistry*>(registry)->stripes_.retire(
+      *static_cast<ThreadStripe*>(stripe));
+}
+
+void MetricsRegistry::anchor_thread_stripes() { tls_stripes(); }
 
 MetricId MetricsRegistry::intern(std::vector<std::string>& names,
                                  std::uint32_t cap, std::string_view name) {
@@ -88,38 +126,34 @@ MetricId MetricsRegistry::histogram(std::string_view name) {
 }
 
 MetricsRegistry::ThreadStripe& MetricsRegistry::stripe() {
-  thread_local PerServiceTable<ThreadStripe*> tls_stripes;
   ThreadStripe*& cached =
-      tls_stripes.for_service(id_, [](ThreadStripe*&) {});
-  if (cached == nullptr) {
-    std::lock_guard<std::mutex> lock(mu_);
-    stripes_.push_back(std::make_unique<ThreadStripe>());
-    cached = stripes_.back().get();
-  }
+      tls_stripes().stripes.for_service(id_, [](ThreadStripe*&) {});
+  if (cached == nullptr) cached = &stripes_.acquire();
   return *cached;
 }
 
 std::uint64_t MetricsRegistry::counter_value(MetricId c) const {
-  std::lock_guard<std::mutex> lock(mu_);
   std::uint64_t total = 0;
-  for (const auto& s : stripes_) {
-    total += s->counters_[c].load(std::memory_order_relaxed);
-  }
+  stripes_.for_each([&](const ThreadStripe& s) {
+    total += s.counters_[c].load(std::memory_order_relaxed);
+  });
   return total;
 }
 
 HistogramSnapshot MetricsRegistry::histogram_value(MetricId h) const {
-  std::lock_guard<std::mutex> lock(mu_);
   HistogramSnapshot out;
-  if (h < hist_names_.size()) out.name = hist_names_[h];
-  for (const auto& s : stripes_) {
-    const ThreadStripe::Hist& hs = s->hists_[h];
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (h < hist_names_.size()) out.name = hist_names_[h];
+  }
+  stripes_.for_each([&](const ThreadStripe& s) {
+    const ThreadStripe::Hist& hs = s.hists_[h];
     out.count += hs.count.load(std::memory_order_relaxed);
     out.sum += hs.sum.load(std::memory_order_relaxed);
     for (std::uint32_t b = 0; b < kHistogramBuckets; ++b) {
       out.buckets[b] += hs.buckets[b].load(std::memory_order_relaxed);
     }
-  }
+  });
   return out;
 }
 
@@ -134,13 +168,13 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
   for (std::size_t i = 0; i < hist_names_.size(); ++i) {
     snap.histograms[i].name = hist_names_[i];
   }
-  for (const auto& s : stripes_) {
+  stripes_.for_each([&](const ThreadStripe& s) {
     for (std::size_t i = 0; i < snap.counters.size(); ++i) {
       snap.counters[i].value +=
-          s->counters_[i].load(std::memory_order_relaxed);
+          s.counters_[i].load(std::memory_order_relaxed);
     }
     for (std::size_t i = 0; i < snap.histograms.size(); ++i) {
-      const ThreadStripe::Hist& hs = s->hists_[i];
+      const ThreadStripe::Hist& hs = s.hists_[i];
       HistogramSnapshot& out = snap.histograms[i];
       out.count += hs.count.load(std::memory_order_relaxed);
       out.sum += hs.sum.load(std::memory_order_relaxed);
@@ -148,7 +182,7 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
         out.buckets[b] += hs.buckets[b].load(std::memory_order_relaxed);
       }
     }
-  }
+  });
   return snap;
 }
 
@@ -198,9 +232,6 @@ void MetricsRegistry::write_json(std::ostream& os) const {
   os << "}}";
 }
 
-std::size_t MetricsRegistry::thread_count() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return stripes_.size();
-}
+std::size_t MetricsRegistry::thread_count() const { return stripes_.size(); }
 
 }  // namespace loren::telemetry

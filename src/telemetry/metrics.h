@@ -22,8 +22,13 @@
 // per-thread words. Like RegisteredCounter::sum() it is epoch-consistent:
 // approximate while writers are in flight, exact once they have quiesced
 // and synchronized with the reader (thread join, or an epoch advance the
-// writers have observed). Stripes live as long as the registry, so a
-// thread that exits leaves its contribution behind.
+// writers have observed). Stripes live in a ThreadNodes registry
+// (platform/thread_nodes.h): when a thread exits, its thread-local stripe
+// table retires each stripe to the registry that issued it (if that
+// registry is still alive), counts and histograms intact, and the next
+// thread to register adds on top. Sums stay exact, and the stripes — and
+// every walk over them — number at most the peak count of threads
+// registered at once.
 //
 // Histograms are fixed-bucket log2: value v lands in bucket bit_width(v)
 // (0 for v == 0, else 1 + floor(log2 v)), 65 buckets covering the full
@@ -47,6 +52,7 @@
 #include <vector>
 
 #include "platform/cacheline.h"
+#include "platform/thread_nodes.h"
 
 namespace loren::telemetry {
 
@@ -168,9 +174,18 @@ class MetricsRegistry {
   MetricId histogram(std::string_view name);
 
   /// The calling thread's stripe, registering it on first touch (cold:
-  /// mutex + allocation once per thread per registry; then a thread-local
-  /// table probe). Hot paths should cache the returned pointer.
+  /// mutex, and an allocation unless an exited thread's stripe is free,
+  /// once per thread per registry; then a thread-local table probe). Hot
+  /// paths should cache the returned pointer; it stays the thread's until
+  /// the thread exits.
   ThreadStripe& stripe();
+
+  /// Constructs the calling thread's stripe table now. The table retires
+  /// the thread's stripes when it is destroyed, and thread_local objects
+  /// are destroyed in reverse order of construction: a thread_local whose
+  /// destructor records into a cached stripe must call this first in its
+  /// constructor, so its records land before the stripe is handed on.
+  static void anchor_thread_stripes();
 
   /// Cold reads: sum of a single metric across stripes.
   [[nodiscard]] std::uint64_t counter_value(MetricId c) const;
@@ -188,17 +203,24 @@ class MetricsRegistry {
   /// per-scenario `metrics` block.
   void write_json(std::ostream& os) const;
 
+  /// Stripes allocated: at most the peak count of threads registered at
+  /// once (an exited thread's stripe goes to the next registrant).
   [[nodiscard]] std::size_t thread_count() const;
 
  private:
   MetricId intern(std::vector<std::string>& names, std::uint32_t cap,
                   std::string_view name);
+  /// ServiceDirectory::FlushFn: an exiting thread's stripe table hands
+  /// `stripe` back to the registry at `registry`.
+  static void retire_stripe(void* registry, void* stripe);
 
-  const std::uint64_t id_;  // process-unique; keys the thread-local table
-  mutable std::mutex mu_;
+  // Process-unique, from the services' id sequence: keys the thread-local
+  // stripe table and the registry's ServiceDirectory entry.
+  const std::uint64_t id_;
+  mutable std::mutex mu_;  // the names; taken before the stripes' lock
   std::vector<std::string> counter_names_;
   std::vector<std::string> hist_names_;
-  std::vector<std::unique_ptr<ThreadStripe>> stripes_;
+  ThreadNodes<ThreadStripe> stripes_;
 };
 
 /// Telemetry surface of the service options structs. The registry is

@@ -108,9 +108,39 @@ TEST(EpochDomain, SwapAdvanceQuiesceNeverFreesUnderAReader) {
 TEST(EpochDomain, SlotsAreRegisteredPerCall) {
   EpochDomain d;
   EXPECT_EQ(d.slots(), 0u);
-  d.register_thread();
-  d.register_thread();
+  EpochDomain::Slot& a = d.register_thread();
+  EpochDomain::Slot& b = d.register_thread();
   EXPECT_EQ(d.slots(), 2u);
+  EXPECT_NE(&a, &b);
+
+  // Retire and reuse: a retired (idle) slot goes to the next registrant
+  // instead of a new allocation, and it pins and blocks like a new one.
+  { EpochDomain::Guard guard(d, a); }
+  d.retire(a);
+  EXPECT_TRUE(d.quiesced(d.advance())) << "a retired slot blocked an epoch";
+  EpochDomain::Slot& c = d.register_thread();
+  EXPECT_EQ(&c, &a) << "the retired slot was not reused";
+  EXPECT_EQ(d.slots(), 2u);
+  const std::uint64_t e = d.current();
+  {
+    EpochDomain::Guard guard(d, c);
+    EXPECT_FALSE(d.quiesced(d.advance())) << "the reused slot's pin was missed";
+  }
+  EXPECT_TRUE(d.quiesced(e + 1));
+
+  // Sequential threads each register, pin and retire: one slot serves
+  // them all.
+  d.retire(b);
+  d.retire(c);
+  for (int t = 0; t < 50; ++t) {
+    std::thread([&d] {
+      EpochDomain::Slot& slot = d.register_thread();
+      { EpochDomain::Guard guard(d, slot); }
+      d.retire(slot);
+    }).join();
+  }
+  EXPECT_EQ(d.slots(), 2u);
+  EXPECT_TRUE(d.quiesced(d.advance()));
 }
 
 }  // namespace

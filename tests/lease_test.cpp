@@ -49,7 +49,7 @@ struct LeaseTablePeer {
   struct SetView {
     std::uint64_t entries;   // occupied slots, counted by walking them
     std::uint64_t size;      // the set's size word
-    std::uint64_t capacity;  // slots allocated (0: storage released)
+    std::uint64_t capacity;  // slots allocated (0: never grown)
   };
   /// Every holder set in registration order, then the holderless set;
   /// each read under its lock (call it while no thread registers).
@@ -63,7 +63,7 @@ struct LeaseTablePeer {
       }
       out.push_back(v);
     };
-    for (const auto& hb : t.heartbeats_) view(hb->leases_);
+    t.heartbeats_.for_each([&](Heartbeat& hb) { view(hb.leases_); });
     view(t.holderless_);
     return out;
   }
@@ -82,12 +82,9 @@ struct LeaseTablePeer {
   static std::uint64_t capacity_for(std::uint64_t n) {
     return detail::LeaseSet::capacity_for(n);
   }
-  /// Blocks waiting in the table's slot pool, over every size class.
-  static std::uint64_t spare_blocks(LeaseTable& t) {
-    std::lock_guard<SimMutex> lock(t.pool_.mu_);
-    std::uint64_t n = 0;
-    for (const auto& spare : t.pool_.spare_) n += spare.size();
-    return n;
+  /// Heartbeat nodes allocated: at most the peak count of live holders.
+  static std::size_t heartbeats(const LeaseTable& t) {
+    return t.heartbeats_.size();
   }
 };
 
@@ -225,26 +222,26 @@ TEST_F(LeaseUnit, RebindEnforcesHolderIdentity) {
   a.last.store(fake_now(), std::memory_order_relaxed);
   b.last.store(fake_now(), std::memory_order_relaxed);
   t.open(9, t.now(), &a, nullptr);
-  EXPECT_TRUE(t.validate(9, &a));
-  EXPECT_FALSE(t.validate(9, &b)) << "validate matched a foreign holder";
+  EXPECT_TRUE(t.validate(9, &a, nullptr));
+  EXPECT_FALSE(t.validate(9, &b, nullptr)) << "validate matched a foreign holder";
   // A lease bound to a live holder is not stealable — the same-bits ABA
   // defense: when a reaped name is reissued, the revived original holder
   // presents the wrong heartbeat and every mutation is rejected instead
   // of silently applied to the new holder's lease.
-  EXPECT_FALSE(t.rebind(9, t.now(), &b));
+  EXPECT_FALSE(t.rebind(9, t.now(), &b, nullptr));
   EXPECT_FALSE(t.close(9, &b, nullptr)) << "foreign close closed a's lease";
   EXPECT_FALSE(t.renew(9, t.now(), &b, nullptr));
   EXPECT_GE(t.guard_trips(), 3u);
   EXPECT_EQ(t.leases_live(), 1u);
   // Self-rebind is the refresh path (a stash re-absorb by the holder).
-  EXPECT_TRUE(t.rebind(9, t.now(), &a));
+  EXPECT_TRUE(t.rebind(9, t.now(), &a, nullptr));
   EXPECT_TRUE(t.close(9, &a, nullptr));
   // A holderless lease may be adopted by anyone; from then on only the
   // adopter's heartbeat sustains it.
   g_now = 1000;
   t.open(11, t.now(), nullptr, nullptr);
-  EXPECT_TRUE(t.rebind(11, t.now(), &b));
-  EXPECT_TRUE(t.validate(11, &b));
+  EXPECT_TRUE(t.rebind(11, t.now(), &b, nullptr));
+  EXPECT_TRUE(t.validate(11, &b, nullptr));
   for (int i = 0; i < 4; ++i) {
     g_now += 40;
     b.last.store(fake_now(), std::memory_order_relaxed);
@@ -584,9 +581,10 @@ TEST_F(LeaseUnit, OpenRacingAPassIsNotLost) {
 
 TEST_F(LeaseUnit, ExitedHoldersAreReapedAndReleased) {
   // 500 short-lived holders, four alive at a time, each stamp once, open
-  // two leases and exit without closing them. Their nodes outlive them:
-  // every lease expires at stamp + ttl + grace, and every set the reaper
-  // empties hands its storage back to the table's pool.
+  // two leases and exit without closing them. Their nodes outlive them
+  // (orphaned, not recycled, while they hold leases): every lease
+  // expires at stamp + ttl + grace, and the pass that empties a set
+  // recycles its node with its storage, for the next holder to register.
   constexpr int kHolders = 500;
   constexpr int kWave = 4;
   Counting counting;
@@ -601,12 +599,15 @@ TEST_F(LeaseUnit, ExitedHoldersAreReapedAndReleased) {
         hb.last.store(fake_now(), std::memory_order_relaxed);
         t.open(2 * h, t.now(), &hb, nullptr);
         t.open(2 * h + 1, t.now(), &hb, nullptr);
+        t.retire_thread(hb);
       });
     }
     for (auto& th : wave) th.join();
   }
   constexpr std::uint64_t kLeases = 2 * kHolders;
   EXPECT_EQ(t.leases_live(), kLeases);
+  EXPECT_EQ(LeaseTablePeer::heartbeats(t), static_cast<std::size_t>(kHolders))
+      << "a node holding leases was recycled";
   g_now = 1109;
   EXPECT_EQ(t.try_reap(t.now(), nullptr), 0u);
   g_now = 1110;
@@ -616,15 +617,65 @@ TEST_F(LeaseUnit, ExitedHoldersAreReapedAndReleased) {
   EXPECT_EQ(counting.reclaimed.load(), kLeases);
   const std::vector<LeaseTablePeer::SetView> sets = LeaseTablePeer::sets(t);
   EXPECT_EQ(sets.size(), kHolders + 1u);  // and the holderless set
-  for (const LeaseTablePeer::SetView& v : sets) {
-    EXPECT_EQ(v.entries, 0u);
-    EXPECT_EQ(v.capacity, 0u) << "an emptied set kept its storage";
+  for (std::size_t i = 0; i + 1 < sets.size(); ++i) {
+    EXPECT_EQ(sets[i].entries, 0u);
+    EXPECT_EQ(sets[i].capacity, lease::detail::LeaseSet::kMinCapacity)
+        << "an emptied set gave up the storage its next owner needs";
   }
-  // The blocks wait in the table's pool; the next set that grows takes one.
-  const std::uint64_t spare = LeaseTablePeer::spare_blocks(t);
-  EXPECT_EQ(spare, static_cast<std::uint64_t>(kHolders));
-  t.open(2 * kHolders, t.now(), &t.register_thread(), nullptr);
-  EXPECT_EQ(LeaseTablePeer::spare_blocks(t), spare - 1);
+  // The next holder takes a recycled node, its block ready: no node and
+  // no storage is allocated, and the totals carry on from the old owner.
+  lease::Heartbeat& next = t.register_thread();
+  EXPECT_EQ(next.last.load(), 0u) << "a recycled node kept its stamp";
+  t.open(2 * kHolders, t.now(), &next, nullptr);
+  EXPECT_EQ(LeaseTablePeer::heartbeats(t), static_cast<std::size_t>(kHolders));
+  EXPECT_EQ(LeaseTablePeer::sets(t).size(), kHolders + 1u);
+  EXPECT_EQ(t.opened(), kLeases + 1);
+  EXPECT_EQ(t.expired(), kLeases);
+}
+
+TEST_F(LeaseUnit, RetiredHoldersAreRecycledWithTotalsIntact) {
+  // Holders that retire with an empty set are recycled at once; holders
+  // that retire holding leases are recycled by the pass that expires
+  // them. With a reap between waves, the nodes never outnumber the
+  // holders alive at once, and every tally stays exact across owners.
+  constexpr int kWaves = 50;
+  constexpr int kWave = 4;
+  Counting counting;
+  lease::LeaseTable t(opts_with(/*ttl=*/100), nullptr);
+  t.set_reclaimer(&Counting::sink, &counting);
+  g_now = 1000;
+  Name next_name = 0;
+  std::uint64_t abandoned = 0;
+  for (int w = 0; w < kWaves; ++w) {
+    std::vector<std::thread> wave;
+    for (int h = 0; h < kWave; ++h) {
+      const Name base = next_name;
+      next_name += 3;
+      const bool abandons = h % 2 == 0;
+      abandoned += abandons ? 1 : 0;
+      wave.emplace_back([&t, base, abandons] {
+        lease::Heartbeat& hb = t.register_thread();
+        hb.last.store(fake_now(), std::memory_order_relaxed);
+        for (Name n = base; n < base + 3; ++n) t.open(n, t.now(), &hb, nullptr);
+        ASSERT_TRUE(t.close(base, &hb, nullptr));
+        ASSERT_TRUE(t.close(base + 1, &hb, nullptr));
+        if (!abandons) {
+          ASSERT_TRUE(t.close(base + 2, &hb, nullptr));
+        }
+        t.retire_thread(hb);
+      });
+    }
+    for (auto& th : wave) th.join();
+    ASSERT_LE(LeaseTablePeer::heartbeats(t), static_cast<std::size_t>(kWave));
+    g_now += 200;  // every abandoned lease is due
+    t.reap(t.now(), nullptr);
+    ASSERT_EQ(t.leases_live(), 0u) << "wave " << w;
+  }
+  EXPECT_LE(LeaseTablePeer::heartbeats(t), static_cast<std::size_t>(kWave));
+  EXPECT_EQ(t.opened(), 3u * kWaves * kWave);
+  EXPECT_EQ(t.expired(), abandoned);
+  EXPECT_EQ(counting.reclaimed.load(), abandoned);
+  EXPECT_EQ(t.guard_trips(), 0u);
 }
 
 // ---------------------------------------------- service integration ----
@@ -913,6 +964,35 @@ TEST_F(LeaseService, ForeignReleaseIsRejectedOnBothServices) {
     opts.lease = opts_with(/*ttl=*/1000);
     expect_foreign_release_rejected<ElasticRenamingService>(opts);
   }
+}
+
+TEST_F(LeaseService, EveryGuardTripReachesTheRegistry) {
+  // One trip from rebind (a foreign release the stash would absorb) and
+  // one from validate (the stash revalidation after a stale gap): the
+  // registry's lease.guard_trips counter must see both, like the table.
+  RenamingServiceOptions opts;
+  opts.name_cache = true;
+  opts.lease = opts_with(/*ttl=*/100, /*grace=*/10);
+  RenamingService svc(64, opts);
+  Name foreign = -1;
+  std::thread([&] { foreign = svc.acquire(); }).join();
+  ASSERT_GE(foreign, 0);
+  const Name own = svc.acquire();
+  ASSERT_GE(own, 0);
+  ASSERT_TRUE(svc.release(own));  // parked in the stash, lease rebound
+  EXPECT_FALSE(svc.release(foreign)) << "a foreign lease was rebound";
+  EXPECT_EQ(svc.lease_guard_trips(), 1u);
+  // Past ttl + grace, a reap expires both leases; the next op's stale-gap
+  // revalidation finds the stashed name's lease gone.
+  g_now.fetch_add(200, std::memory_order_relaxed);
+  EXPECT_EQ(svc.reap_expired(), 2u);
+  const Name fresh = svc.acquire();
+  ASSERT_GE(fresh, 0);
+  EXPECT_EQ(svc.lease_guard_trips(), 2u);
+  const telemetry::MetricsSnapshot snap = svc.metrics_registry().snapshot();
+  const telemetry::CounterSnapshot* trips = snap.counter("lease.guard_trips");
+  ASSERT_NE(trips, nullptr);
+  EXPECT_EQ(trips->value, svc.lease_guard_trips());
 }
 
 TEST_F(LeaseService, StashAbsorbedNamesStayLeasedAndReapable) {

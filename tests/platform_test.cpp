@@ -2,9 +2,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <thread>
 #include <vector>
 
 #include "platform/poisson.h"
+#include "platform/registered_counter.h"
 #include "platform/rng.h"
 #include "platform/stats.h"
 
@@ -218,6 +221,39 @@ TEST(Stats, ChiSquareZeroWhenEqual) {
 
 TEST(Stats, MarkdownRowFormat) {
   EXPECT_EQ(markdown_row({"a", "b"}), "| a | b |");
+}
+
+TEST(RegisteredCounter, RetiredNodesKeepTheirCountForTheNextOwner) {
+  // 100 sequential threads, each registering, adding and retiring: one
+  // node serves them all and the sum stays exact across the hand-overs.
+  RegisteredCounter counter;
+  std::int64_t expected = 0;
+  for (int t = 0; t < 100; ++t) {
+    const std::int64_t delta = (t % 3 == 0) ? -t : 2 * t;
+    expected += delta;
+    std::thread([&counter, delta] {
+      RegisteredCounter::Node& node = counter.register_thread();
+      RegisteredCounter::add(node, delta);
+      counter.retire(node);
+    }).join();
+  }
+  EXPECT_EQ(counter.nodes(), 1u);
+  EXPECT_EQ(counter.sum(), expected);
+  // Owners alive at once each get their own node; the retired ones are
+  // handed out again before anything new is allocated.
+  RegisteredCounter::Node& a = counter.register_thread();
+  RegisteredCounter::Node& b = counter.register_thread();
+  EXPECT_NE(&a, &b);
+  EXPECT_EQ(counter.nodes(), 2u);
+  RegisteredCounter::add(a, 5);
+  RegisteredCounter::add(b, -2);
+  counter.retire(a);
+  counter.retire(b);
+  EXPECT_EQ(&counter.register_thread(), &b);
+  EXPECT_EQ(counter.nodes(), 2u);
+  EXPECT_EQ(counter.sum(), expected + 3);
+  counter.reset();
+  EXPECT_EQ(counter.sum(), 0);
 }
 
 }  // namespace

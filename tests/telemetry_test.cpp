@@ -23,6 +23,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <set>
 #include <sstream>
 #include <string>
@@ -134,12 +135,14 @@ TEST(MetricsRegistryTest, MultiThreadStressExactAfterJoin) {
   constexpr unsigned kThreads = 4;
   constexpr std::uint64_t kOps = 200000;
   std::atomic<bool> go{false};
+  std::atomic<unsigned> registered{0};
   std::atomic<bool> stop_snapshots{false};
   std::vector<std::thread> pool;
   pool.reserve(kThreads);
   for (unsigned t = 0; t < kThreads; ++t) {
     pool.emplace_back([&] {
       MetricsRegistry::ThreadStripe& stripe = reg.stripe();
+      registered.fetch_add(1, std::memory_order_release);
       while (!go.load(std::memory_order_acquire)) {
       }
       for (std::uint64_t i = 0; i < kOps; ++i) {
@@ -158,6 +161,9 @@ TEST(MetricsRegistryTest, MultiThreadStressExactAfterJoin) {
       EXPECT_LE(cs->value, kThreads * kOps);
     }
   });
+  // Every writer holds its stripe before any starts: kThreads at once.
+  while (registered.load(std::memory_order_acquire) < kThreads) {
+  }
   go.store(true, std::memory_order_release);
   for (auto& th : pool) th.join();
   stop_snapshots.store(true, std::memory_order_release);
@@ -166,7 +172,44 @@ TEST(MetricsRegistryTest, MultiThreadStressExactAfterJoin) {
   EXPECT_EQ(reg.counter_value(c), kThreads * kOps);
   const HistogramSnapshot hs = reg.histogram_value(h);
   EXPECT_EQ(hs.count, kThreads * kOps);
-  EXPECT_GE(reg.thread_count(), kThreads);
+  // One stripe per concurrent writer, and no more: the peak.
+  EXPECT_EQ(reg.thread_count(), kThreads);
+}
+
+TEST(MetricsRegistryTest, ExitedThreadsHandTheirStripeToTheNextThread) {
+  // 100 sequential threads: each exit retires the thread's stripe, and
+  // the next thread reuses it with every count and histogram intact.
+  MetricsRegistry reg;
+  const MetricId c = reg.counter("seq.count");
+  const MetricId h = reg.histogram("seq.hist");
+  constexpr std::uint64_t kThreads = 100;
+  for (std::uint64_t t = 0; t < kThreads; ++t) {
+    std::thread([&reg, c, h, t] {
+      MetricsRegistry::ThreadStripe& stripe = reg.stripe();
+      stripe.add(c, t + 1);
+      stripe.record(h, t);
+    }).join();
+  }
+  EXPECT_EQ(reg.thread_count(), 1u);
+  EXPECT_EQ(reg.counter_value(c), kThreads * (kThreads + 1) / 2);
+  const HistogramSnapshot hs = reg.histogram_value(h);
+  EXPECT_EQ(hs.count, kThreads);
+  EXPECT_EQ(hs.sum, kThreads * (kThreads - 1) / 2);
+}
+
+TEST(MetricsRegistryTest, StripesOfADestroyedRegistryAreNotRetired) {
+  // A thread outlives the registry it recorded into: its exit must find
+  // the registry gone (no retire into freed memory), and a registry built
+  // afterwards hands the thread a stripe of its own.
+  std::thread([] {
+    auto first = std::make_unique<MetricsRegistry>();
+    first->stripe().add(first->counter("gone"));
+    first.reset();
+    MetricsRegistry second;
+    second.stripe().add(second.counter("kept"), 2);
+    EXPECT_EQ(second.counter_value(second.counter("kept")), 2u);
+    EXPECT_EQ(second.thread_count(), 1u);
+  }).join();
 }
 
 TEST(MetricsRegistryTest, ExpositionCarriesEveryMetric) {
@@ -414,7 +457,10 @@ TEST(ServiceTelemetryTest, MultiThreadServiceStressWithAttachedRegistry) {
   // 1-in-256 sampling over kThreads * kOps uncached acquires: samples
   // must have landed from every thread's stream.
   EXPECT_GT(probes->count, 0u);
-  EXPECT_GE(reg.thread_count(), kThreads);
+  // Stripes allocated: at least one, and at most the peak count of
+  // workers alive at once (an exited worker's stripe is reused).
+  EXPECT_GE(reg.thread_count(), 1u);
+  EXPECT_LE(reg.thread_count(), kThreads);
 }
 
 }  // namespace
