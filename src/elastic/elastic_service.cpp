@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <mutex>
+#include <optional>
 #include <stdexcept>
 
 #include "telemetry/trace.h"
@@ -251,6 +252,15 @@ std::uint64_t ElasticRenamingService::release_batch(const Name* names,
                                                    PerThread& per) {
   std::uint64_t freed = 0;
   EpochDomain::Guard guard(domain_, *per.node);
+  // With leasing on, one holder-set lock for the whole batch, taken after
+  // the epoch pin (the reaper's order too). Close-vs-reap is still
+  // linearized per name by that lock, and each cell is freed while it is
+  // held: the reaper frees only cells whose lease it removed under the
+  // same lock, so exactly one side frees each cell.
+  std::optional<lease::LeaseTable::HolderBatch> leases;
+  if (lease_table() != nullptr) {
+    leases.emplace(*lease_table(), per.hb, per.stripe);
+  }
   // Batches overwhelmingly come from one generation, so coalesce the
   // live-counter updates per group and flush on change.
   ShardGroup* run_group = nullptr;
@@ -263,9 +273,7 @@ std::uint64_t ElasticRenamingService::release_batch(const Name* names,
     if (g == nullptr) continue;
     LOREN_SIM_POINT("elastic.release.stamp");
     if (!stamp_matches(*g, d, options_.debug_release_guard)) continue;
-    // Close-vs-reap is linearized by the holder's lease-set lock: exactly
-    // one side frees the cell.
-    if (!lease_closed(name, per)) continue;
+    if (leases && !lease_closed(*leases, name)) continue;
     if (!g->release_local(d.local)) continue;
     if (g != run_group) {
       if (run_group != nullptr) run_group->note_released_n(run_freed);

@@ -29,21 +29,30 @@ std::uint64_t LeaseSet::find(sim::Name name) const {
   }
 }
 
+void LeaseSet::grow_to(std::uint64_t want) {
+  const std::uint64_t old_cap = capacity();
+  const std::unique_ptr<Slot[]> old = std::move(slots);
+  slots = std::make_unique<Slot[]>(want);
+  mask = static_cast<std::uint32_t>(want - 1);
+  for (std::uint64_t i = 0; i < old_cap; ++i) {
+    if (old[i].name == kFree) continue;
+    std::uint64_t j = home(old[i].name, mask);
+    while (slots[j].name != kFree) j = (j + 1) & mask;
+    slots[j] = old[i];
+  }
+}
+
+void LeaseSet::reserve(std::uint64_t n) {
+  // mo:relaxed-ok(every store of size is made under mu, which we hold)
+  const std::uint64_t want = size.load(std::memory_order_relaxed) + n;
+  // capacity_for(want) > capacity(), without its loop on the common path.
+  if (want * 4 > capacity() * 3) grow_to(capacity_for(want));
+}
+
 void LeaseSet::put(sim::Name name, std::uint64_t deadline) {
   // mo:relaxed-ok(every store of size is made under mu, which we hold)
   const std::uint32_t n = size.load(std::memory_order_relaxed);
-  if (const std::uint64_t want = capacity_for(n + 1); want > capacity()) {
-    const std::uint64_t old_cap = capacity();
-    const std::unique_ptr<Slot[]> old = std::move(slots);
-    slots = std::make_unique<Slot[]>(want);
-    mask = static_cast<std::uint32_t>(want - 1);
-    for (std::uint64_t i = 0; i < old_cap; ++i) {
-      if (old[i].name == kFree) continue;
-      std::uint64_t j = home(old[i].name, mask);
-      while (slots[j].name != kFree) j = (j + 1) & mask;
-      slots[j] = old[i];
-    }
-  }
+  reserve(1);
   std::uint64_t i = home(name, mask);
   while (slots[i].name != kFree && slots[i].name != name) i = (i + 1) & mask;
   if (slots[i].name == name) {
@@ -180,41 +189,60 @@ void LeaseTable::lower_gate(std::uint64_t due) {
   }
 }
 
-void LeaseTable::open(sim::Name name, std::uint64_t now_ticks,
-                      const Heartbeat* hb, telemetry::MetricsRegistry::ThreadStripe* stripe) {
-  LOREN_SIM_POINT("lease.open");
-  LeaseSet& set = own_set(hb);
-  {
-    std::lock_guard<SimMutex> lock(set.mu);
-    set.put(name, now_ticks + ttl_);
-    ++set.opened;
-  }
-  lower_gate(now_ticks + ttl_ + grace_);
-  if (stripe != nullptr) stripe->add(ctr_opened_);
+void LeaseTable::HolderBatch::lock() {
+  set_.mu.lock();
+  locked_ = true;
+  if (reserve_ != 0) set_.reserve(reserve_);
 }
 
-bool LeaseTable::close(sim::Name name, const Heartbeat* hb,
-                       telemetry::MetricsRegistry::ThreadStripe* stripe) {
+void LeaseTable::HolderBatch::open(sim::Name name, std::uint64_t now_ticks) {
+  LOREN_SIM_POINT("lease.open");
+  if (!locked_) lock();
+  const std::uint64_t deadline = now_ticks + table_.ttl_;
+  set_.put(name, deadline);
+  ++set_.opened;
+  ++opened_;
+  due_ = std::min(due_, deadline + table_.grace_);
+}
+
+bool LeaseTable::HolderBatch::close(sim::Name name) {
   LOREN_SIM_POINT("lease.close");
-  LeaseSet& set = own_set(hb);
+  if (!locked_) lock();
   const auto drop = [](LeaseSet& s, std::uint64_t i) {
     s.erase_at(i);
     ++s.closed;
   };
-  bool ok = true;
-  {
-    std::lock_guard<SimMutex> lock(set.mu);
-    if (const std::uint64_t i = set.find(name); i != set.capacity()) {
-      drop(set, i);
-    } else {
-      // The reaper won — the cell was reclaimed, and if the name bits
-      // were already reissued the lease belongs to a *different* holder.
-      // Either way this close must not free the cell.
-      ok = on_holderless_locked(set, hb, name, drop);
-    }
+  if (const std::uint64_t i = set_.find(name); i != set_.capacity()) {
+    drop(set_, i);
+    ++closed_;
+    return true;
   }
-  if (stripe != nullptr) stripe->add(ok ? ctr_closed_ : ctr_guard_trips_);
-  return ok;
+  // The reaper won — the cell was reclaimed, and if the name bits were
+  // already reissued the lease belongs to a *different* holder. Either
+  // way this close must not free the cell.
+  if (table_.on_holderless_locked(set_, hb_, name, drop)) {
+    ++closed_;
+    return true;
+  }
+  ++trips_;
+  return false;
+}
+
+void LeaseTable::open(sim::Name name, std::uint64_t now_ticks,
+                      const Heartbeat* hb, telemetry::MetricsRegistry::ThreadStripe* stripe) {
+  HolderBatch(*this, hb, stripe).open(name, now_ticks);
+}
+
+void LeaseTable::open_batch(const sim::Name* names, std::uint64_t count,
+                            std::uint64_t now_ticks, const Heartbeat* hb,
+                            telemetry::MetricsRegistry::ThreadStripe* stripe) {
+  HolderBatch batch(*this, hb, stripe, count);
+  for (std::uint64_t i = 0; i < count; ++i) batch.open(names[i], now_ticks);
+}
+
+bool LeaseTable::close(sim::Name name, const Heartbeat* hb,
+                       telemetry::MetricsRegistry::ThreadStripe* stripe) {
+  return HolderBatch(*this, hb, stripe).close(name);
 }
 
 bool LeaseTable::renew(sim::Name name, std::uint64_t now_ticks,
@@ -388,6 +416,9 @@ std::uint64_t LeaseTable::leases_live() const {
 }
 std::uint64_t LeaseTable::opened() const {
   return sum([](const LeaseSet& s) { return s.opened; });
+}
+std::uint64_t LeaseTable::closed() const {
+  return sum([](const LeaseSet& s) { return s.closed; });
 }
 std::uint64_t LeaseTable::expired() const {
   return sum([](const LeaseSet& s) { return s.expired; });

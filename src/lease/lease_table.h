@@ -15,15 +15,19 @@
 // node for a service carries that holder's lease set (a SimMutex, a flat
 // map name -> deadline and its exact tallies), so open, close, renew,
 // rebind and validate lock only the caller's own, uncontended set, whose
-// lines stay in the caller's cache. Leases opened without a heartbeat
-// (unit tests) live in one table-owned set that close, renew and rebind
-// consult after a miss in the caller's own. A reap pass skips a holder
-// whose heartbeat is fresh (one load) and checks a stale holder's set
-// entry by entry. next_due, a lower bound on every live lease's
-// effective deadline, makes the op-path try_reap() one load until a
-// lease may be due. Expiry checks are exact, so a lease can expire late
-// (by up to one reap poll interval) but never early: "zero false
-// expiries of live renewing holders" is structural, not probabilistic.
+// lines stay in the caller's cache. A batch of opens or closes (the
+// services' acquire_many and release_many) runs through one HolderBatch:
+// one lock, one gate update and one stripe add per tally for the whole
+// batch, each name's outcome still decided under the set's lock. Leases
+// opened without a heartbeat (unit tests) live in one table-owned set
+// that close, renew and rebind consult after a miss in the caller's own.
+// A reap pass skips a holder whose heartbeat is fresh (one load) and
+// checks a stale holder's set entry by entry. next_due, a lower bound on
+// every live lease's effective deadline, makes the op-path try_reap()
+// one load until a lease may be due. Expiry checks are exact, so a lease
+// can expire late (by up to one reap poll interval) but never early:
+// "zero false expiries of live renewing holders" is structural, not
+// probabilistic.
 //
 // Close vs reap linearization: the holder set's lock is the arbiter.
 // Exactly one of {holder's close(), reaper's expiry} removes the lease
@@ -101,8 +105,14 @@ struct LeaseSet {
   void put(sim::Name name, std::uint64_t deadline);
   /// Empties slot `i`, shifting its probe run back over the hole.
   void erase_at(std::uint64_t i);
+  /// Grows (once) so that `n` more entries fit without a rehash.
+  void reserve(std::uint64_t n);
   /// Drops every entry, keeping the storage.
   void clear();
+
+ private:
+  /// Rehashes every entry into `want` slots (a power of two).
+  void grow_to(std::uint64_t want);
 };
 
 }  // namespace detail
@@ -189,6 +199,11 @@ class LeaseTable {
   void open(sim::Name name, std::uint64_t now_ticks, const Heartbeat* hb,
             telemetry::MetricsRegistry::ThreadStripe* stripe);
 
+  /// open() for each of `count` names, through one HolderBatch.
+  void open_batch(const sim::Name* names, std::uint64_t count,
+                  std::uint64_t now_ticks, const Heartbeat* hb,
+                  telemetry::MetricsRegistry::ThreadStripe* stripe);
+
   /// The holder relinquishes the lease (it is about to free the cell).
   /// True iff the lease was live *and bound to `hb`* — false means the
   /// reaper got there first and the caller must NOT free the cell (a
@@ -200,6 +215,62 @@ class LeaseTable {
   /// may be closed by anyone.
   [[nodiscard]] bool close(sim::Name name, const Heartbeat* hb,
                            telemetry::MetricsRegistry::ThreadStripe* stripe);
+
+  /// A scoped batch of opens and closes on one holder's set: the set is
+  /// locked once (at the first operation, so the first name's sim point
+  /// comes before the lock, as in a one-name open or close), and the
+  /// destructor unlocks, lowers the reap gate once to the batch's least
+  /// deadline and adds each tally to the stripe once. Each open and close
+  /// has exactly the one-name call's outcome: close against reap is still
+  /// decided per name under the set's lock, and a name closed twice in
+  /// one batch closes once (the second is a guard trip). `opens` sizes
+  /// the set for that many opens at the lock, so a batch rehashes at
+  /// most once. One batch per thread at a time; no other call into the
+  /// table for the same holder may run on this thread while it lives.
+  class HolderBatch {
+   public:
+    HolderBatch(LeaseTable& table, const Heartbeat* hb,
+                telemetry::MetricsRegistry::ThreadStripe* stripe,
+                std::uint64_t opens = 0)
+        : table_(table),
+          hb_(hb),
+          set_(table.own_set(hb)),
+          stripe_(stripe),
+          reserve_(opens) {}
+    HolderBatch(const HolderBatch&) = delete;
+    HolderBatch& operator=(const HolderBatch&) = delete;
+    ~HolderBatch() {
+      if (!locked_) return;  // no operation ran
+      set_.mu.unlock();
+      // After every size store of the batch: the gate's seq_cst load is
+      // the second half of the pair with a pass's reset (docs/leases.md,
+      // "The gate never hides a live lease").
+      if (opened_ != 0) table_.lower_gate(due_);
+      if (stripe_ == nullptr) return;
+      if (opened_ != 0) stripe_->add(table_.ctr_opened_, opened_);
+      if (closed_ != 0) stripe_->add(table_.ctr_closed_, closed_);
+      if (trips_ != 0) stripe_->add(table_.ctr_guard_trips_, trips_);
+    }
+
+    /// open() for one name of the batch.
+    void open(sim::Name name, std::uint64_t now_ticks);
+    /// close() for one name of the batch.
+    [[nodiscard]] bool close(sim::Name name);
+
+   private:
+    void lock();
+
+    LeaseTable& table_;
+    const Heartbeat* hb_;
+    detail::LeaseSet& set_;
+    telemetry::MetricsRegistry::ThreadStripe* stripe_;
+    std::uint64_t reserve_;
+    std::uint64_t due_ = kNever;  // least deadline + grace opened
+    std::uint32_t opened_ = 0;
+    std::uint32_t closed_ = 0;
+    std::uint32_t trips_ = 0;
+    bool locked_ = false;
+  };
 
   /// Explicit renewal: pushes the lease's own deadline to now + ttl.
   /// False (a guard trip) if the lease no longer exists or is bound to a
@@ -240,6 +311,7 @@ class LeaseTable {
   // Exact under quiescence (each addend is read under its set's lock).
   [[nodiscard]] std::uint64_t leases_live() const;
   [[nodiscard]] std::uint64_t opened() const;
+  [[nodiscard]] std::uint64_t closed() const;
   [[nodiscard]] std::uint64_t expired() const;
   [[nodiscard]] std::uint64_t guard_trips() const;
   /// Heartbeat nodes allocated: at most the peak count of holders that

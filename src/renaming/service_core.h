@@ -378,6 +378,10 @@ class ServiceCore {
     return leases_ == nullptr || leases_->close(name, per.hb, per.stripe) ||
            !leases_->release_guard();
   }
+  /// The same close for one name of a batch holding the holder's set.
+  bool lease_closed(lease::LeaseTable::HolderBatch& batch, sim::Name name) {
+    return batch.close(name) || !leases_->release_guard();
+  }
 
  private:
   /// Detailed-mode sampling: every (mask+1)-th acquire/release on a
@@ -404,6 +408,8 @@ class ServiceCore {
     telemetry::MetricId sweeps = 0;
     telemetry::MetricId stash_spills = 0;
     telemetry::MetricId stash_flushes = 0;
+    telemetry::MetricId claims = 0;      // these two count only the
+    telemetry::MetricId run_claims = 0;  // walks probe_len samples
     telemetry::MetricId acquire_ticks = 0;  // histograms from here on
     telemetry::MetricId release_ticks = 0;
     telemetry::MetricId probe_len = 0;
@@ -463,6 +469,14 @@ class ServiceCore {
   /// Migrations and swept shards of a claim — counted in every mode,
   /// unlike the sampled probe histograms.
   void note_walk(PerThread& per, const ShardGroup::ProbeStats& stats);
+  /// A sampled walk's shared steps (detailed mode): its word loads, and
+  /// the claiming fetch_ors of the schedule walk and of run claims summed
+  /// into counters beside them.
+  void record_claims(PerThread& per, const ShardGroup::ProbeStats& stats) {
+    per.stripe->record(ins_.probe_len, stats.probes);
+    per.stripe->add(ins_.claims, stats.claims);
+    per.stripe->add(ins_.run_claims, stats.run_claims);
+  }
 
   /// ServiceDirectory::FlushFn: an exiting thread's stash flush, then
   /// the retirement of its policy node and heartbeat, driven entirely off
@@ -517,6 +531,8 @@ ServiceCore<Derived>::ServiceCore(const ServiceOptions& options,
   ins_.sweeps = reg.counter(p + ".sweep.invocations");
   ins_.stash_spills = reg.counter(p + ".stash.spills");
   ins_.stash_flushes = reg.counter(p + ".stash.flushes");
+  ins_.claims = reg.counter(p + ".acquire.claims");
+  ins_.run_claims = reg.counter(p + ".acquire.run_claims");
   ins_.acquire_ticks = reg.histogram(p + ".acquire.ticks");
   ins_.release_ticks = reg.histogram(p + ".release.ticks");
   ins_.probe_len = reg.histogram(p + ".acquire.probe_len");
@@ -769,7 +785,7 @@ sim::Name ServiceCore<Derived>::acquire() {
   const sim::Name name = self().claim_one(per, stats);
   note_walk(per, stats);
   if (timed) {
-    per.stripe->record(ins_.probe_len, stats.probes);
+    record_claims(per, stats);
     if (stats.lost_races != 0) {
       per.stripe->record(ins_.lost_races, stats.lost_races);
     }
@@ -852,18 +868,16 @@ std::uint64_t ServiceCore<Derived>::acquire_many(std::uint64_t k,
   // controller) answered never reaches this point.
   if (ins_.detailed) {
     per.stripe->record(ins_.ring_walk, stats.ring_shards);
-    if (stats.probes != 0) per.stripe->record(ins_.probe_len, stats.probes);
+    if (stats.probes != 0) record_claims(per, stats);
     if (stats.lost_races != 0) {
       per.stripe->record(ins_.lost_races, stats.lost_races);
     }
   }
   if (leases_ != nullptr && shared_got > 0) {
-    // One lease clock read per batch: every name shares a registration
-    // instant.
-    const std::uint64_t lnow = leases_->now();
-    for (std::uint64_t i = 0; i < shared_got; ++i) {
-      leases_->open(out[got + i], lnow, per.hb, per.stripe);
-    }
+    // One lease clock read and one holder-set lock per batch: every name
+    // shares a registration instant.
+    leases_->open_batch(out + got, shared_got, leases_->now(), per.hb,
+                        per.stripe);
   }
   if (opts_.name_cache) {
     for (std::uint64_t i = 0; i < shared_got; ++i) {

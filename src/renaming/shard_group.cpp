@@ -108,7 +108,8 @@ std::int64_t ShardGroup::probe(std::uint64_t si, Xoshiro256& rng, bool* late,
       if ((full & bit) == 0) {
         ++issued;
         const std::int64_t cell =
-            arena_.try_claim_in_word(lo + x, lo, hi, &stats.lost_races);
+            arena_.try_claim_in_word(lo + x, lo, hi, &stats.lost_races,
+                                     &stats.claims);
         if (cell >= 0) {
           stats.probes += issued;
           *late = pos >= kMigrateThreshold;
@@ -171,7 +172,8 @@ std::uint64_t ShardGroup::claim_run(std::uint64_t si, std::uint64_t from,
   // no scratch buffer is needed.
   auto* raw = reinterpret_cast<std::uint64_t*>(out);
   const std::uint64_t got =
-      arena_.try_claim_run(lo + from, lo + to, k, raw, &stats.lost_races);
+      arena_.try_claim_run(lo + from, lo + to, k, raw, &stats.lost_races,
+                           &stats.run_claims);
   for (std::uint64_t i = 0; i < got; ++i) out[i] = encode(si, raw[i] - lo);
   return got;
 }

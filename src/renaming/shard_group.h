@@ -91,13 +91,18 @@ class ShardGroup {
 
   /// Per-call accounting, accumulated across calls so one struct can span
   /// a multi-round acquisition: word probes issued (shared-memory loads;
-  /// schedule slots skipped by the full-word memo are not counted),
-  /// observable lost races (load-before-RMW paths only — a lost
-  /// single-RMW test_and_set is indistinguishable from "already taken"),
-  /// how far the batched ring walk and the backstop sweep went, and how
-  /// often the sticky hint moved (a late win or a steal).
+  /// schedule slots skipped by the full-word memo are not counted), the
+  /// claiming fetch_ors next to them (the schedule walk's, seed probes of
+  /// a batch included, apart from the run claims of batches and sweeps;
+  /// lost ones counted in both), observable lost races (load-before-RMW
+  /// paths only — a lost single-RMW test_and_set is indistinguishable
+  /// from "already taken"), how far the batched ring walk and the
+  /// backstop sweep went, and how often the sticky hint moved (a late
+  /// win or a steal).
   struct ProbeStats {
     std::uint32_t probes = 0;
+    std::uint32_t claims = 0;
+    std::uint32_t run_claims = 0;
     std::uint32_t lost_races = 0;
     std::uint32_t ring_shards = 0;
     std::uint32_t sweep_shards = 0;

@@ -149,10 +149,12 @@ class BitmapArena {
   /// reloads the (shrunken) free mask from the fetch_or's return value,
   /// so the retry loop runs at most 64 times and performs no extra loads.
   /// `lost_races` (optional) accumulates the fetch_or retries — each one
-  /// is a rival observed winning the chosen bit (telemetry).
+  /// is a rival observed winning the chosen bit (telemetry); `claims`
+  /// (optional) accumulates every fetch_or issued, lost ones included.
   std::int64_t try_claim_in_word(std::uint64_t hint, std::uint64_t lo,
                                  std::uint64_t hi,
-                                 std::uint32_t* lost_races = nullptr) {
+                                 std::uint32_t* lost_races = nullptr,
+                                 std::uint32_t* claims = nullptr) {
     const std::uint64_t e = epoch_.load(std::memory_order_relaxed);
     const std::uint64_t w = hint / kBitsPerWord;
     WordSlot& s = slot(w);
@@ -169,6 +171,7 @@ class BitmapArena {
       // scenario schedules exactly this).
       LOREN_SIM_POINT("bitmap.word.claim");
       const std::uint64_t old = s.bits.fetch_or(bit, std::memory_order_acq_rel);
+      if (claims != nullptr) ++*claims;
       if ((old & bit) == 0) {
         return static_cast<std::int64_t>(w * kBitsPerWord +
                                          static_cast<std::uint64_t>(b));
@@ -187,10 +190,12 @@ class BitmapArena {
   /// that spans a word boundary is just two word iterations — no cell is
   /// ever claimed twice because every claim is a bit that this fetch_or
   /// flipped 0 -> 1. `lost_races` (optional) accumulates popcount(want &
-  /// old) across the fetch_ors — the bits rivals won first (telemetry).
+  /// old) across the fetch_ors — the bits rivals won first (telemetry);
+  /// `claims` (optional) accumulates the fetch_ors issued.
   std::uint64_t try_claim_run(std::uint64_t begin, std::uint64_t end,
                               std::uint64_t k, std::uint64_t* out,
-                              std::uint32_t* lost_races = nullptr) {
+                              std::uint32_t* lost_races = nullptr,
+                              std::uint32_t* claims = nullptr) {
     if (begin >= end || k == 0) return 0;
     const std::uint64_t e = epoch_.load(std::memory_order_relaxed);
     std::uint64_t got = 0;
@@ -211,6 +216,7 @@ class BitmapArena {
         LOREN_SIM_POINT("bitmap.run.word");
         const std::uint64_t old =
             s.bits.fetch_or(want, std::memory_order_acq_rel);
+        if (claims != nullptr) ++*claims;
         std::uint64_t won = want & ~old;  // bits this RMW flipped 0 -> 1
         while (won != 0) {
           const int b = countr_zero_u64(won);

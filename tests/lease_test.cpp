@@ -21,9 +21,12 @@
 //     while opens race passes), exited holders' leases are reaped and
 //     their sets' storage freed, and concurrent churn with op-path polls
 //     keeps every count exact;
+//   * holder batches — one HolderBatch gives every close outcome the
+//     one-name call gives, sizes the set once and lowers the gate once;
 //   * service integration (both services) — abandoned names are reaped
 //     back into the arena and become re-acquirable, a revived holder's
-//     late release is rejected, renew_lease reports kLeaseExpired.
+//     late release is rejected, renew_lease reports kLeaseExpired, and a
+//     release_many racing the reaper frees each cell exactly once.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -85,6 +88,11 @@ struct LeaseTablePeer {
   /// Heartbeat nodes allocated: at most the peak count of live holders.
   static std::size_t heartbeats(const LeaseTable& t) {
     return t.heartbeats_.size();
+  }
+  /// The slot array of `hb`'s set (read on the thread holding its lock,
+  /// or while no thread uses the set): a new array means a rehash.
+  static const void* slots(const Heartbeat& hb) {
+    return hb.leases_.slots.get();
   }
 };
 
@@ -472,6 +480,89 @@ TEST_F(LeaseUnit, ConcurrentChurnWithPollsKeepsCountsExact) {
   EXPECT_GT(t.expired(), 0u) << "no lease outlived its ttl under churn";
   EXPECT_EQ(t.leases_live(), 0u);
   EXPECT_EQ(LeaseTablePeer::entries(t), 0u);
+}
+
+// One HolderBatch over every close outcome at once: a held lease, one the
+// reaper already expired, another holder's, a holderless one (adopted by
+// the close), and a held name given twice. Each result is the one-name
+// close()'s, the batch's own open lands in the holder's set, and the
+// table tallies equal the registry counters the batch added to once each.
+TEST_F(LeaseUnit, HolderBatchMixedOutcomesMatchOneNameCalls) {
+  Reclaimed rec;
+  telemetry::MetricsRegistry reg;
+  telemetry::MetricsRegistry::ThreadStripe* stripe = &reg.stripe();
+  lease::LeaseTable t(opts_with(/*ttl=*/100, /*grace=*/10), &reg);
+  t.set_reclaimer(&Reclaimed::sink, &rec);
+  lease::Heartbeat& a = t.register_thread();
+  lease::Heartbeat& b = t.register_thread();
+  // a never stamps (beat 0), so each of its leases lives by its own
+  // deadline: 3 opened at tick 1 is due at 111, 1 and 2 opened at tick 50
+  // at 160.
+  t.open(3, t.now(), &a, stripe);
+  g_now = 50;
+  t.open(1, t.now(), &a, stripe);
+  t.open(2, t.now(), &a, stripe);
+  b.last.store(fake_now(), std::memory_order_relaxed);
+  t.open(4, t.now(), &b, stripe);
+  t.open(5, t.now(), nullptr, stripe);  // holderless
+  g_now = 120;
+  b.last.store(fake_now(), std::memory_order_relaxed);
+  ASSERT_EQ(t.reap(t.now(), stripe), 1u);
+  ASSERT_EQ(rec.names, std::vector<Name>{3});
+
+  {
+    lease::LeaseTable::HolderBatch batch(t, &a, stripe, /*opens=*/1);
+    EXPECT_TRUE(batch.close(1)) << "held";
+    EXPECT_FALSE(batch.close(3)) << "already reaped";
+    EXPECT_FALSE(batch.close(4)) << "another holder's";
+    EXPECT_TRUE(batch.close(5)) << "holderless";
+    EXPECT_TRUE(batch.close(2)) << "held, first copy";
+    EXPECT_FALSE(batch.close(2)) << "held, second copy";
+    batch.open(6, t.now());
+  }
+  EXPECT_EQ(t.leases_live(), 2u);  // b's 4 and a's 6
+  EXPECT_TRUE(t.validate(4, &b, stripe));
+  EXPECT_TRUE(t.validate(6, &a, stripe));
+  EXPECT_EQ(t.opened(), 6u);
+  EXPECT_EQ(t.closed(), 3u);
+  EXPECT_EQ(t.expired(), 1u);
+  EXPECT_EQ(t.guard_trips(), 3u);
+  EXPECT_EQ(t.opened(), t.closed() + t.expired() + t.leases_live());
+  const auto counter = [&](const char* name) {
+    return reg.counter_value(reg.counter(name));
+  };
+  EXPECT_EQ(counter("lease.opened"), t.opened());
+  EXPECT_EQ(counter("lease.closed"), t.closed());
+  EXPECT_EQ(counter("lease.expired"), t.expired());
+  EXPECT_EQ(counter("lease.guard_trips"), t.guard_trips());
+  EXPECT_EQ(LeaseTablePeer::entries(t), 2u);
+}
+
+TEST_F(LeaseUnit, HolderBatchSizesTheSetOnceAndLowersTheGateOnce) {
+  lease::LeaseTable t(opts_with(/*ttl=*/100), nullptr);
+  lease::Heartbeat& hb = t.register_thread();
+  constexpr std::uint64_t kNever = ~std::uint64_t{0};
+  ASSERT_EQ(LeaseTablePeer::next_due(t), kNever);
+  {
+    lease::LeaseTable::HolderBatch batch(t, &hb, nullptr, /*opens=*/100);
+    batch.open(0, t.now());
+    const void* sized = LeaseTablePeer::slots(hb);
+    ASSERT_NE(sized, nullptr);
+    for (Name n = 1; n < 100; ++n) batch.open(n, t.now());
+    EXPECT_EQ(LeaseTablePeer::slots(hb), sized) << "a second rehash";
+    EXPECT_EQ(LeaseTablePeer::next_due(t), kNever)
+        << "the gate moved before the batch ended";
+  }
+  EXPECT_EQ(LeaseTablePeer::next_due(t), 1u + 100);
+  const std::vector<LeaseTablePeer::SetView> sets = LeaseTablePeer::sets(t);
+  ASSERT_EQ(sets.size(), 2u);
+  EXPECT_EQ(sets[0].entries, 100u);
+  EXPECT_EQ(sets[0].capacity, LeaseTablePeer::capacity_for(100));
+  // A batch that runs no operation never locks, sizes or counts.
+  { lease::LeaseTable::HolderBatch idle(t, &hb, nullptr, /*opens=*/1000); }
+  EXPECT_EQ(LeaseTablePeer::sets(t)[0].capacity,
+            LeaseTablePeer::capacity_for(100));
+  EXPECT_EQ(t.opened(), 100u);
 }
 
 TEST_F(LeaseUnit, GateNeverHidesADueLease) {
@@ -993,6 +1084,77 @@ TEST_F(LeaseService, EveryGuardTripReachesTheRegistry) {
   const telemetry::CounterSnapshot* trips = snap.counter("lease.guard_trips");
   ASSERT_NE(trips, nullptr);
   EXPECT_EQ(trips->value, svc.lease_guard_trips());
+}
+
+// release_many of a batch of leased names racing a reaper that keeps
+// stepping the clock past ttl + grace: each name is either closed by the
+// release or expired by the reaper, never both, so every cell is freed
+// exactly once and every lease the release lost is one guard trip.
+template <class Service, class Options>
+void race_release_many_against_reaper(Options opts) {
+  constexpr std::uint64_t kNames = 16;
+  constexpr int kRounds = 40;
+  opts.name_cache = false;  // every release reaches the shared path
+  opts.lease = opts_with(/*ttl=*/100, /*grace=*/10);
+  Service svc(64, opts);
+  std::uint64_t released = 0;
+  std::uint64_t reaped = 0;
+  for (int round = 0; round < kRounds; ++round) {
+    std::atomic<int> stage{0};  // 1: names held, 2: their leases stale
+    std::uint64_t freed = 0;
+    std::thread holder([&] {
+      Name names[kNames];
+      ASSERT_EQ(svc.acquire_many(kNames, names), kNames);
+      stage.store(1);
+      while (stage.load() != 2) std::this_thread::yield();
+      freed = svc.release_many(names, kNames);
+      stage.store(3);
+    });
+    std::uint64_t round_reaped = 0;
+    while (stage.load() != 1) std::this_thread::yield();
+    // On even rounds the holder's release and the first pass start
+    // together after its leases went stale, so either may reach the set
+    // first; on odd rounds the passes start a little later, so the
+    // release usually does.
+    if (round % 2 == 0) {
+      g_now.fetch_add(100 + 10 + 1, std::memory_order_relaxed);
+      stage.store(2);
+    } else {
+      stage.store(2);
+      std::this_thread::sleep_for(std::chrono::microseconds(20));
+    }
+    while (stage.load() != 3) {
+      g_now.fetch_add(100 + 10 + 1, std::memory_order_relaxed);
+      round_reaped += svc.reap_expired();
+    }
+    holder.join();
+    round_reaped += svc.reap_expired();
+    EXPECT_EQ(freed + round_reaped, kNames)
+        << "round " << round << ": a cell was freed twice or leaked";
+    released += freed;
+    reaped += round_reaped;
+  }
+  EXPECT_EQ(svc.names_live(), 0u);
+  EXPECT_EQ(svc.leases_live(), 0u);
+  const lease::LeaseTable& t = *svc.lease_table();
+  EXPECT_EQ(t.opened(), kNames * kRounds);
+  EXPECT_EQ(t.opened(), t.closed() + t.expired());
+  EXPECT_EQ(t.closed(), released);
+  EXPECT_EQ(t.expired(), reaped);
+  EXPECT_EQ(t.guard_trips(), reaped) << "each lost close is one trip";
+}
+
+TEST_F(LeaseService, FixedReleaseManyRacingTheReaperFreesEachCellOnce) {
+  race_release_many_against_reaper<RenamingService>(RenamingServiceOptions{});
+}
+
+TEST_F(LeaseService, ElasticReleaseManyRacingTheReaperFreesEachCellOnce) {
+  ElasticOptions opts;
+  opts.min_holders = 64;
+  opts.max_holders = 256;
+  opts.auto_grow = false;
+  opts.auto_shrink = false;
+  race_release_many_against_reaper<ElasticRenamingService>(opts);
 }
 
 TEST_F(LeaseService, StashAbsorbedNamesStayLeasedAndReapable) {

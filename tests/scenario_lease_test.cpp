@@ -19,6 +19,12 @@
 //      trip); with release_guard = false the same schedule applies the
 //      stale release to the new holder's cell and the very next acquire
 //      double-grants the name — the silent ABA the guard exists to stop.
+//   4. A batch closes under one lock, yet each name's close still races
+//      the reaper correctly: an elastic release_many stalled at its first
+//      lease.close (before the holder set's lock) loses every name to a
+//      reaper that expires them and reissues one, and frees none of them;
+//      stalled at its second lease.close (inside the lock) it keeps every
+//      name, the reaper waiting on the lock and then finding nothing.
 //
 // Only builds under -DLOREN_SIM (CMakeLists excludes scenario_* tests
 // otherwise): the stalls aim at LOREN_SIM_POINT tags.
@@ -450,6 +456,147 @@ TEST(ScenarioLease, SameScheduleWithGuardOffDoubleGrants) {
   EXPECT_TRUE(run_pinned_late_release(/*guard_on=*/false, &trace))
       << "unguarded schedule no longer reproduces the ABA\n"
       << trace;
+}
+
+// ------------------------- pinned schedule: batch close vs reap --------
+//
+// Worker 0 acquires kBatch names with one acquire_many; worker 1 takes
+// every other cell, so a reclaimed cell is the only kind a later acquire
+// can return. Worker 0 then releases its names with one release_many
+// while worker 1 ages the clock, reaps (renewing its own leases each
+// pass) and, once the reaper took the batch's leases, reissues one cell.
+// The stall at lease.close comes either before the batch takes the
+// holder set's lock (after_hits = 0: the reaper expires all of the
+// batch's leases meanwhile, and the resumed batch must free nothing,
+// least of all the reissued cell) or inside it (after_hits = 1: the
+// reaper's pass waits for the lock and finds the set empty). Every cell
+// is freed exactly once either way.
+struct BatchStallResult {
+  std::uint64_t freed = 0;     // by the stalled release_many
+  std::uint64_t expired = 0;   // by the reaper
+  std::uint64_t trips = 0;
+  bool reissued = false;       // worker 1 got a batch name back
+  bool reaper_waited = false;  // worker 1 waited on a lock worker 0 held
+};
+
+BatchStallResult run_batch_close_stall(std::uint64_t after_hits) {
+  constexpr std::uint64_t kBatch = 8;
+  g_now.store(1, std::memory_order_relaxed);
+  ElasticRenamingService svc(64, storm_options(/*ttl=*/50, /*grace=*/10));
+  Checks checks;
+  std::atomic<int> stage{0};  // 1: batch held, 2: the rest held
+  std::atomic<bool> released{false};
+  std::atomic<std::uint64_t> freed{0};
+  std::atomic<bool> reissued{false};
+  Name names[kBatch];
+
+  Scenario scn;
+  scn.seed = 0xBA7C4u + after_hits;
+  scn.preempt_every = 1;
+  scn.stalls.push_back(StallRule{"lease.close", 0, after_hits, 4000, 1});
+
+  ScenarioEngine eng(scn);
+  const bool done = eng.run(
+      {[&](Worker& w) {
+         w.yield("batch.acquire");
+         if (svc.acquire_many(kBatch, names) != kBatch) {
+           checks.fail("batch acquire_many came back short");
+         }
+         stage.store(1, std::memory_order_release);
+         while (stage.load(std::memory_order_acquire) != 2) {
+           w.yield("batch.wait_fill");
+         }
+         freed.store(svc.release_many(names, kBatch),
+                     std::memory_order_release);
+         released.store(true, std::memory_order_release);
+       },
+       [&](Worker& w) {
+         while (stage.load(std::memory_order_acquire) != 1) {
+           w.yield("driver.wait_batch");
+         }
+         std::vector<Name> rest;
+         for (Name n = svc.acquire(); n >= 0; n = svc.acquire()) {
+           rest.push_back(n);
+         }
+         stage.store(2, std::memory_order_release);
+         if (rest.empty()) {
+           checks.fail("driver prefill got nothing");
+           return;
+         }
+         // Age and reap until the reaper took the batch's leases or the
+         // batch finished. A pass never stamps the reaper, so the driver
+         // keeps its own leases fresh with an explicit renew per pass.
+         while (svc.lease_expired() == 0 &&
+                !released.load(std::memory_order_acquire)) {
+           w.yield("driver.age");
+           g_now.fetch_add(10, std::memory_order_relaxed);
+           if (svc.renew_lease(rest[0]) != rest[0]) {
+             checks.fail("driver's own renew failed");
+             return;
+           }
+           svc.reap_expired();
+           if (g_now.load(std::memory_order_relaxed) > 100000) {
+             checks.fail("neither the batch nor the reaper finished");
+             return;
+           }
+         }
+         if (svc.lease_expired() != 0) {
+           // Take a reclaimed cell back while the batch is still stalled:
+           // its stale close must not free it.
+           w.yield("driver.reissue");
+           const Name taken = svc.acquire();
+           bool ours = false;
+           for (const Name n : names) ours = ours || n == taken;
+           if (!ours) {
+             checks.fail("reissued " + std::to_string(taken) +
+                         ", not a name of the batch");
+           }
+           reissued.store(ours, std::memory_order_release);
+           while (!released.load(std::memory_order_acquire)) {
+             w.yield("driver.wait_release");
+           }
+           if (svc.names_live() != rest.size() + 1) {
+             checks.fail("the stalled batch freed a reissued cell");
+           }
+           if (taken >= 0 && !svc.release(taken)) {
+             checks.fail("reissued name not held");
+           }
+         }
+         if (svc.release_many(rest.data(), rest.size()) != rest.size()) {
+           checks.fail("driver's release_many came back short");
+         }
+       }});
+  eng.finish();
+
+  EXPECT_TRUE(done) << "livelock guard tripped\n" << eng.trace();
+  EXPECT_GE(eng.stalls_fired(), 1u) << "the close stall never fired";
+  EXPECT_TRUE(checks.ok()) << checks.summary() << eng.trace();
+  // Every cell freed exactly once: by the batch or by the reaper.
+  EXPECT_EQ(freed.load() + svc.lease_expired(), kBatch);
+  EXPECT_EQ(svc.names_live(), 0u);
+  EXPECT_EQ(svc.leases_live(), 0u);
+  const lease::LeaseTable& t = *svc.lease_table();
+  EXPECT_EQ(t.opened(), t.closed() + t.expired());
+  return {freed.load(), svc.lease_expired(), svc.lease_guard_trips(),
+          reissued.load(),
+          eng.trace().find(" w1 mutex.wait\n") != std::string::npos};
+}
+
+TEST(ScenarioLease, BatchStalledBeforeItsLockLosesEveryNameToTheReaper) {
+  const BatchStallResult r = run_batch_close_stall(/*after_hits=*/0);
+  EXPECT_EQ(r.freed, 0u);
+  EXPECT_EQ(r.expired, 8u);
+  EXPECT_EQ(r.trips, 8u) << "each lost close is one guard trip";
+  EXPECT_TRUE(r.reissued);
+}
+
+TEST(ScenarioLease, BatchStalledInsideItsLockKeepsEveryName) {
+  const BatchStallResult r = run_batch_close_stall(/*after_hits=*/1);
+  EXPECT_EQ(r.freed, 8u);
+  EXPECT_EQ(r.expired, 0u);
+  EXPECT_EQ(r.trips, 0u);
+  EXPECT_FALSE(r.reissued);
+  EXPECT_TRUE(r.reaper_waited) << "the pass never met the batch's lock";
 }
 
 }  // namespace

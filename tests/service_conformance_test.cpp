@@ -279,6 +279,30 @@ TEST_P(ServiceConformance, BatchFillIsCompleteAtQuiescence) {
   EXPECT_EQ(svc_->names_live(), 0u);
 }
 
+TEST_P(ServiceConformance, ReleaseManyFreesADuplicatedNameOnce) {
+  // A name given twice in one release_many frees once: the copy loses
+  // the cell's single-RMW release (shared path) or the stash duplicate
+  // scan (cached path), and nothing else in the batch is disturbed.
+  constexpr std::uint64_t k = 8;
+  std::vector<Name> batch(k);
+  ASSERT_EQ(svc_->acquire_many(k, batch.data()), k);
+  batch.insert(batch.begin() + k / 2, batch.front());
+  EXPECT_EQ(svc_->release_many(batch.data(), batch.size()), k);
+  svc_->flush_thread_cache();
+  EXPECT_EQ(svc_->names_live(), 0u);
+  // No cell was freed twice: the whole namespace serves unique names.
+  std::set<Name> seen;
+  std::vector<Name> all;
+  for (Name name = svc_->acquire(); name >= 0; name = svc_->acquire()) {
+    EXPECT_TRUE(seen.insert(name).second) << "double-granted " << name;
+    all.push_back(name);
+  }
+  EXPECT_EQ(all.size(), svc_->cells());
+  EXPECT_EQ(svc_->release_many(all.data(), all.size()), all.size());
+  svc_->flush_thread_cache();
+  EXPECT_EQ(svc_->names_live(), 0u);
+}
+
 TEST_P(ServiceConformance, ReleaseRoundTripAndForeignValues) {
   const Name name = svc_->acquire();
   ASSERT_GE(name, 0);

@@ -453,6 +453,7 @@ constexpr int kStepAcquires = 376;
 struct StepCounts {
   std::uint64_t probes = 0, lost_races = 0, migrations = 0, sweep_shards = 0;
   std::uint64_t max_probes = 0;
+  std::uint64_t claims = 0, run_claims = 0;  // fetch_ors: probes', sweeps'
 };
 
 /// Runs the step-count workload from `held_sixteenths` of the group's cells
@@ -481,16 +482,20 @@ StepCounts step_counts(std::uint64_t held_sixteenths) {
     c.lost_races += stats.lost_races;
     c.migrations += stats.migrations;
     c.sweep_shards += stats.sweep_shards;
+    c.claims += stats.claims;
+    c.run_claims += stats.run_claims;
     c.max_probes = std::max<std::uint64_t>(c.max_probes, stats.probes);
   }
   std::printf("[ STEPS    ] held %2llu/16: probes %llu (max %llu) lost %llu "
-              "migrations %llu sweep shards %llu\n",
+              "migrations %llu sweep shards %llu claims %llu/%llu\n",
               static_cast<unsigned long long>(held_sixteenths),
               static_cast<unsigned long long>(c.probes),
               static_cast<unsigned long long>(c.max_probes),
               static_cast<unsigned long long>(c.lost_races),
               static_cast<unsigned long long>(c.migrations),
-              static_cast<unsigned long long>(c.sweep_shards));
+              static_cast<unsigned long long>(c.sweep_shards),
+              static_cast<unsigned long long>(c.claims),
+              static_cast<unsigned long long>(c.run_claims));
   return c;
 }
 
@@ -499,16 +504,21 @@ TEST(ShardGroupSteps, ExactCountsAtFixedFills) {
   ASSERT_EQ(stride_of(*g), 1504u);  // 24 words per shard window
   struct Case {
     std::uint64_t held_sixteenths, probes, max_probes, migrations,
-        sweep_shards;
+        sweep_shards, claims, run_claims;
   };
-  for (const Case k : {Case{0, 376, 1, 0, 0}, Case{8, 383, 3, 0, 0},
-                       Case{15, 2803, 80, 120, 1}}) {
+  // One thread never loses a race, so every claim wins: one fetch_or per
+  // acquisition, the sweep's included.
+  for (const Case k : {Case{0, 376, 1, 0, 0, 376, 0},
+                       Case{8, 383, 3, 0, 0, 376, 0},
+                       Case{15, 2803, 80, 120, 1, 375, 1}}) {
     const StepCounts c = step_counts(k.held_sixteenths);
     EXPECT_EQ(c.probes, k.probes) << k.held_sixteenths << "/16";
     EXPECT_EQ(c.max_probes, k.max_probes) << k.held_sixteenths << "/16";
     EXPECT_EQ(c.lost_races, 0u) << "one thread never loses a race";
     EXPECT_EQ(c.migrations, k.migrations) << k.held_sixteenths << "/16";
     EXPECT_EQ(c.sweep_shards, k.sweep_shards) << k.held_sixteenths << "/16";
+    EXPECT_EQ(c.claims, k.claims) << k.held_sixteenths << "/16";
+    EXPECT_EQ(c.run_claims, k.run_claims) << k.held_sixteenths << "/16";
   }
 }
 
@@ -520,26 +530,63 @@ TEST(ShardGroupSteps, ExactCountsAtFixedFills) {
 // releases plus one acquire_many(kServiceBatch). Pinned: a hash of every
 // issued name in issue order, the probe_len histogram's count and sum
 // (word loads of every 256th single acquire plus every batch that
-// reached the shared path), lost races, migrations, swept shards, the
-// batch ring-walk sum, names_live(), and for the elastic service its grow
-// count and generation. A change to either service's op pipeline that
-// moves a probe, a claim or a sample moves one of them.
+// reached the shared path) and the claiming fetch_ors of the same
+// samples, lost races, migrations, swept shards, the batch ring-walk sum,
+// names_live(), and for the elastic service its grow count and
+// generation. A change to either service's op pipeline that
+// moves a probe, a claim or a sample moves one of them. The leased cases
+// run the same churn with leases on under a frozen clock (nothing ever
+// expires) and pin the lease tallies too: every name opened, closed or
+// tripped is one the op pipeline decided on, so a change to how leases
+// are opened or closed that alters any name's outcome moves them.
 constexpr int kServiceRounds = 200;
 constexpr std::uint64_t kServiceBatch = 8;
+
+/// The lease registry counters plus leases_live() (all 0 unleased).
+struct LeaseSteps {
+  std::uint64_t opened = 0, closed = 0, guard_trips = 0, live = 0;
+};
+
+/// Claiming fetch_ors over the sampled walks probe_len records: the
+/// schedule walk's (seed probes included) and the run claims'.
+struct ClaimSteps {
+  std::uint64_t claims = 0, run_claims = 0;
+};
 
 struct ServiceSteps {
   std::uint64_t name_hash = 0;
   std::uint64_t probe_count = 0, probe_sum = 0, lost_races = 0;
   std::uint64_t migrations = 0, sweeps = 0, ring_walk = 0, live = 0;
   std::uint64_t grows = 0, generation = 0;
+  ClaimSteps claims{};
+  LeaseSteps lease{};
 };
+
+/// The leased cases' clock: it never moves, so no lease ever expires and
+/// no heartbeat ever goes stale.
+std::uint64_t frozen_clock() { return 1; }
+
+/// Leasing for the leased cases (ttl 0, the default, leaves it off).
+lease::LeaseOptions frozen_leases(bool on) {
+  lease::LeaseOptions l;
+  if (on) {
+    l.ttl_ticks = 1000;
+    l.grace = 100;
+    l.clock = &frozen_clock;
+  }
+  return l;
+}
 
 /// What the churn does beyond fill-and-churn: fill past the live
 /// group's capacity (forcing an elastic auto-grow) and/or resize to
-/// double the holders before round kServiceRounds / 2.
+/// double the holders before round kServiceRounds / 2; release each
+/// round's names through one release_many, instead of one release()
+/// each, that names the round's first name twice (it frees once; the
+/// copy is rejected).
 struct ServiceStepPlan {
   std::uint64_t fill_sixteenths = 15;
   bool resize_midway = false;
+  bool release_many = false;
 };
 
 template <class Service>
@@ -567,11 +614,19 @@ ServiceSteps service_steps(Service& svc, telemetry::MetricsRegistry& reg,
         EXPECT_TRUE(svc.resize(svc.holders() * 2));
       }
     }
+    sim::Name released[kServiceBatch + 1];
     for (std::uint64_t r = 0; r < kServiceBatch; ++r) {
       const std::uint64_t i = rng.below(held.size());
-      EXPECT_TRUE(svc.release(held[i]));
+      released[r] = held[i];
+      if (!plan.release_many) {
+        EXPECT_TRUE(svc.release(held[i]));
+      }
       held[i] = held.back();
       held.pop_back();
+    }
+    if (plan.release_many) {
+      released[kServiceBatch] = released[0];
+      EXPECT_EQ(svc.release_many(released, kServiceBatch + 1), kServiceBatch);
     }
     sim::Name batch[kServiceBatch];
     EXPECT_EQ(svc.acquire_many(kServiceBatch, batch), kServiceBatch);
@@ -584,10 +639,14 @@ ServiceSteps service_steps(Service& svc, telemetry::MetricsRegistry& reg,
   const auto* probe = snap.histogram(prefix + ".acquire.probe_len");
   const auto* lost = snap.histogram(prefix + ".acquire.lost_races");
   const auto* ring = snap.histogram(prefix + ".batch.ring_walk");
+
   s.probe_count = probe != nullptr ? probe->count : 0;
   s.probe_sum = probe != nullptr ? probe->sum : 0;
   s.lost_races = lost != nullptr ? lost->sum : 0;
   s.ring_walk = ring != nullptr ? ring->sum : 0;
+  s.claims.claims = reg.counter_value(reg.counter(prefix + ".acquire.claims"));
+  s.claims.run_claims =
+      reg.counter_value(reg.counter(prefix + ".acquire.run_claims"));
   s.migrations = reg.counter_value(reg.counter(prefix + ".shard.migrations"));
   s.sweeps = reg.counter_value(reg.counter(prefix + ".sweep.invocations"));
   s.live = svc.names_live();
@@ -595,9 +654,14 @@ ServiceSteps service_steps(Service& svc, telemetry::MetricsRegistry& reg,
     s.grows = svc.grow_events();
     s.generation = svc.generation();
   }
+  s.lease.opened = reg.counter_value(reg.counter("lease.opened"));
+  s.lease.closed = reg.counter_value(reg.counter("lease.closed"));
+  s.lease.guard_trips = reg.counter_value(reg.counter("lease.guard_trips"));
+  s.lease.live = svc.leases_live();
   std::printf("[ STEPS    ] %s: hash %016llx probe_len %llu/%llu lost %llu "
               "migrations %llu sweeps %llu ring_walk %llu live %llu grows "
-              "%llu gen %llu\n",
+              "%llu gen %llu claims %llu/%llu lease %llu/%llu/%llu live "
+              "%llu\n",
               prefix.c_str(), static_cast<unsigned long long>(s.name_hash),
               static_cast<unsigned long long>(s.probe_count),
               static_cast<unsigned long long>(s.probe_sum),
@@ -607,7 +671,13 @@ ServiceSteps service_steps(Service& svc, telemetry::MetricsRegistry& reg,
               static_cast<unsigned long long>(s.ring_walk),
               static_cast<unsigned long long>(s.live),
               static_cast<unsigned long long>(s.grows),
-              static_cast<unsigned long long>(s.generation));
+              static_cast<unsigned long long>(s.generation),
+              static_cast<unsigned long long>(s.claims.claims),
+              static_cast<unsigned long long>(s.claims.run_claims),
+              static_cast<unsigned long long>(s.lease.opened),
+              static_cast<unsigned long long>(s.lease.closed),
+              static_cast<unsigned long long>(s.lease.guard_trips),
+              static_cast<unsigned long long>(s.lease.live));
   return s;
 }
 
@@ -620,7 +690,8 @@ void on_fresh_slot0_thread(Body body) {
   }).join();
 }
 
-ServiceSteps fixed_steps(bool cache) {
+ServiceSteps fixed_steps(bool cache, bool leased = false,
+                         const ServiceStepPlan& plan = {}) {
   ServiceSteps s;
   on_fresh_slot0_thread([&] {
     telemetry::MetricsRegistry reg;
@@ -630,14 +701,15 @@ ServiceSteps fixed_steps(bool cache) {
     opts.shards = 16;
     opts.name_cache = cache;
     opts.telemetry.registry = &reg;
+    opts.lease = frozen_leases(leased);
     RenamingService svc(4096, opts);
-    s = service_steps(svc, reg, "service", svc.capacity(), {});
+    s = service_steps(svc, reg, "service", svc.capacity(), plan);
   });
   return s;
 }
 
 ServiceSteps elastic_steps(bool cache, bool auto_grow,
-                           const ServiceStepPlan& plan) {
+                           const ServiceStepPlan& plan, bool leased = false) {
   ServiceSteps s;
   on_fresh_slot0_thread([&] {
     telemetry::MetricsRegistry reg;
@@ -646,6 +718,7 @@ ServiceSteps elastic_steps(bool cache, bool auto_grow,
     opts.name_cache = cache;
     opts.auto_grow = auto_grow;
     opts.telemetry.registry = &reg;
+    opts.lease = frozen_leases(leased);
     ElasticRenamingService svc(4096, opts);
     s = service_steps(svc, reg, "elastic",
                       svc.capacity() >> ElasticRenamingService::kTagBits, plan);
@@ -664,30 +737,40 @@ void expect_steps(const ServiceSteps& got, const ServiceSteps& want) {
   EXPECT_EQ(got.live, want.live);
   EXPECT_EQ(got.grows, want.grows);
   EXPECT_EQ(got.generation, want.generation);
+  EXPECT_EQ(got.claims.claims, want.claims.claims);
+  EXPECT_EQ(got.claims.run_claims, want.claims.run_claims);
+  EXPECT_EQ(got.lease.opened, want.lease.opened);
+  EXPECT_EQ(got.lease.closed, want.lease.closed);
+  EXPECT_EQ(got.lease.guard_trips, want.lease.guard_trips);
+  EXPECT_EQ(got.lease.live, want.lease.live);
 }
 
 TEST(ServiceSteps, FixedCacheOff) {
   expect_steps(fixed_steps(false),
                ServiceSteps{0x08d890806e7a7b49,
-                            222, 606, 0, 1528, 0, 259, 5520, 0, 0});
+                            222, 606, 0, 1528, 0, 259, 5520, 0, 0,
+                            {278, 484}});
 }
 
 TEST(ServiceSteps, FixedCacheOn) {
   expect_steps(fixed_steps(true),
                ServiceSteps{0xd874804156435825,
-                            222, 666, 0, 1533, 0, 245, 5520, 0, 0});
+                            222, 666, 0, 1533, 0, 245, 5520, 0, 0,
+                            {264, 369}});
 }
 
 TEST(ServiceSteps, ElasticCacheOff) {
   expect_steps(elastic_steps(false, false, {}),
                ServiceSteps{0x23906968871723dd,
-                            222, 680, 0, 1530, 0, 252, 5520, 0, 1});
+                            222, 680, 0, 1530, 0, 252, 5520, 0, 1,
+                            {269, 445}});
 }
 
 TEST(ServiceSteps, ElasticCacheOn) {
   expect_steps(elastic_steps(true, false, {}),
                ServiceSteps{0x593818b73b3f3f95,
-                            222, 628, 0, 1504, 0, 223, 5520, 0, 1});
+                            222, 628, 0, 1504, 0, 223, 5520, 0, 1,
+                            {242, 334}});
 }
 
 // Filling to 17/16 of the live group forces an auto-grow (the exhausted
@@ -696,13 +779,51 @@ TEST(ServiceSteps, ElasticCacheOn) {
 TEST(ServiceSteps, ElasticAutoGrowAndResizeCacheOff) {
   expect_steps(elastic_steps(false, true, {17, true}),
                ServiceSteps{0xbd4de84d49153a65,
-                            225, 386, 0, 1805, 16, 200, 6256, 2, 3});
+                            225, 386, 0, 1805, 16, 200, 6256, 2, 3,
+                            {225, 218}});
 }
 
 TEST(ServiceSteps, ElasticAutoGrowAndResizeCacheOn) {
   expect_steps(elastic_steps(true, true, {17, true}),
                ServiceSteps{0x5ae594f45101cff5,
-                            225, 386, 0, 1805, 16, 200, 6256, 2, 3});
+                            225, 386, 0, 1805, 16, 200, 6256, 2, 3,
+                            {225, 212}});
+}
+
+// Leased: the same churn with every shared acquisition opening a lease
+// and every shared release closing one, each round's releases batched
+// into one release_many that names its first name twice. Stash hits and
+// absorbs touch no lease count (an absorb rebinds), so cache on opens
+// and closes fewer; the duplicate is a guard trip wherever both copies
+// reach the shared release.
+constexpr ServiceStepPlan kLeasedPlan{15, false, true};
+
+TEST(ServiceSteps, FixedLeasedCacheOff) {
+  expect_steps(fixed_steps(false, true, kLeasedPlan),
+               ServiceSteps{0x08d890806e7a7b49,
+                            222, 606, 0, 1528, 0, 259, 5520, 0, 0,
+                            {278, 484}, {7120, 1600, 200, 5520}});
+}
+
+TEST(ServiceSteps, FixedLeasedCacheOn) {
+  expect_steps(fixed_steps(true, true, kLeasedPlan),
+               ServiceSteps{0x950187a585d37f8f,
+                            222, 680, 0, 1513, 0, 217, 5520, 0, 0,
+                            {238, 298}, {6320, 800, 0, 5520}});
+}
+
+TEST(ServiceSteps, ElasticLeasedCacheOff) {
+  expect_steps(elastic_steps(false, false, kLeasedPlan, true),
+               ServiceSteps{0x23906968871723dd,
+                            222, 680, 0, 1530, 0, 252, 5520, 0, 1,
+                            {269, 445}, {7120, 1600, 200, 5520}});
+}
+
+TEST(ServiceSteps, ElasticLeasedCacheOn) {
+  expect_steps(elastic_steps(true, false, kLeasedPlan, true),
+               ServiceSteps{0x1838ceead583d5ed,
+                            222, 696, 0, 1512, 0, 222, 5520, 0, 1,
+                            {238, 290}, {6320, 800, 0, 5520}});
 }
 
 // The fixed service's namespace for explicit shard counts: one group of
