@@ -93,8 +93,10 @@ class ReBatching {
 
  private:
   /// The one coroutine body: Figure 1's probes on batches [first, last),
-  /// then the backup sweep when `backup` is set.
-  template <ReBatchingEnv E>
+  /// then the backup sweep when `backup` is set. `kService` selects the
+  /// probe (service_->acquire or one hardware TAS) at compile time, so the
+  /// body has a single co_await.
+  template <ReBatchingEnv E, bool kService>
   sim::Task<sim::Name> walk(E& env, std::uint64_t first, std::uint64_t last,
                             bool backup);
 

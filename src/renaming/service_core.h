@@ -458,10 +458,11 @@ class ServiceCore {
   /// Applies the stale-stash rule when the stash's generation is behind
   /// the service's. Returns the names it released.
   std::uint64_t sync_stash(PerThread& per);
-  /// Hit/miss accounting; at each window roll-up folds the counts into
-  /// the registry, applies the controller's capacity bound and spills any
-  /// excess above a shrunk capacity.
-  void note_stash_acquire(PerThread& per, bool hit);
+  /// Hit/miss accounting for `n` acquisitions of one outcome; at every
+  /// window roll-up applies the controller's capacity bound and spills any
+  /// excess above a shrunk capacity, as n one-name calls would, then folds
+  /// the rolled counts into the registry.
+  void note_stash_acquire(PerThread& per, bool hit, std::uint64_t n = 1);
   /// Spills the `k` oldest stashed names through release_shared (the
   /// hottest half stays). Stashed leases were rebound to this thread's
   /// heartbeat on absorb, so its heartbeat is the identity closes present.
@@ -698,17 +699,19 @@ inline std::uint64_t ServiceCore<Derived>::sync_stash(PerThread& per) {
 }
 
 template <class Derived>
-void ServiceCore<Derived>::note_stash_acquire(PerThread& per, bool hit) {
+void ServiceCore<Derived>::note_stash_acquire(PerThread& per, bool hit,
+                                              std::uint64_t n) {
   NameStash& st = per.stash;
-  const NameStash::WindowStats ws = st.note_acquire(hit);
+  const NameStash::WindowStats ws = st.note_acquire(hit, n, [&] {
+    // The controller's capacity bound is re-applied at every adaptation
+    // rollup, so the stash's own doubling can never outrun it for more
+    // than one window; the excess spill drains what the clamp cut.
+    if (controller_ != nullptr) st.clamp_capacity(controller_->stash_cap());
+    if (st.excess() > 0) spill(per, st.excess());
+  });
   if (ws.rolled) {
     per.stripe->add(ins_.cache_hits, ws.hits);
     per.stripe->add(ins_.cache_misses, ws.misses);
-    // The controller's capacity bound is re-applied at every adaptation
-    // rollup, so the stash's own doubling can never outrun it for more
-    // than one window; the excess spill below drains what the clamp cut.
-    if (controller_ != nullptr) st.clamp_capacity(controller_->stash_cap());
-    if (st.excess() > 0) spill(per, st.excess());
   }
 }
 
@@ -879,10 +882,8 @@ std::uint64_t ServiceCore<Derived>::acquire_many(std::uint64_t k,
     leases_->open_batch(out + got, shared_got, leases_->now(), per.hb,
                         per.stripe);
   }
-  if (opts_.name_cache) {
-    for (std::uint64_t i = 0; i < shared_got; ++i) {
-      note_stash_acquire(per, false);
-    }
+  if (opts_.name_cache && shared_got > 0) {
+    note_stash_acquire(per, false, shared_got);
   }
   return finish(got + shared_got);
 }

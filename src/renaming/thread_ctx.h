@@ -128,15 +128,25 @@ class NameStash {
   /// reset invalidation: the cells were epoch-reset, nothing to release).
   void clear() { count_ = 0; }
 
-  /// Records one acquisition outcome and, at each kAdaptWindow boundary,
-  /// adapts the capacity and returns the window's counts for aggregation.
-  WindowStats note_acquire(bool hit) {
-    window_ops_ += 1;
-    window_hits_ += hit ? 1u : 0u;
+  /// Records `n` acquisitions that all had outcome `hit`, exactly as n
+  /// one-name calls would: every kAdaptWindow boundary the count crosses
+  /// closes one window, doubles or halves the capacity by its hit rate and
+  /// then calls `on_roll()`, where the owner re-applies its capacity bound
+  /// and spills the excess. Returns the closed windows' summed counts for
+  /// aggregation.
+  template <class OnRoll>
+  WindowStats note_acquire(bool hit, std::uint64_t n, OnRoll&& on_roll) {
     WindowStats stats;
-    if (window_ops_ >= kAdaptWindow) {
-      stats.hits = window_hits_;
-      stats.misses = window_ops_ - window_hits_;
+    while (n > 0) {
+      const std::uint32_t room = kAdaptWindow - window_ops_;
+      const std::uint32_t take =
+          n < room ? static_cast<std::uint32_t>(n) : room;
+      window_ops_ += take;
+      window_hits_ += hit ? take : 0u;
+      n -= take;
+      if (window_ops_ < kAdaptWindow) break;
+      stats.hits += window_hits_;
+      stats.misses += window_ops_ - window_hits_;
       stats.rolled = true;
       if (window_hits_ * 4 >= window_ops_ * 3) {
         capacity_ = capacity_ * 2 > kMaxCapacity ? kMaxCapacity : capacity_ * 2;
@@ -145,6 +155,7 @@ class NameStash {
       }
       window_ops_ = 0;
       window_hits_ = 0;
+      on_roll();
     }
     return stats;
   }

@@ -68,10 +68,10 @@ class Env {
 
 namespace detail {
 
-/// The awaiter behind tas/read/write, templated on the env type: over a
-/// `final` env (ArenaEnv, the hardware path) the immediate() check and the
-/// execute_now() call bind statically, so a probe costs no indirect call;
-/// over sim::Env they stay virtual.
+/// The awaiter behind read/write (tas has its own below), templated on the
+/// env type: over a `final` env (ArenaEnv, the hardware path) the
+/// immediate() check and the execute_now() call bind statically, so a probe
+/// costs no indirect call; over sim::Env they stay virtual.
 template <class E>
 struct OpAwaiter {
   E* env;
@@ -93,16 +93,35 @@ struct OpAwaiter {
   [[nodiscard]] std::uint64_t await_resume() const { return outcome; }
 };
 
+/// OpAwaiter specialised to TAS: the kind and the (unused) write value are
+/// constants, so the awaiter is 24 bytes. It lives in every suspended
+/// caller's frame, one slot per co_await site.
+template <class E>
+struct TasAwaiter {
+  E* env;
+  Location loc;
+  std::uint64_t outcome = 0;
+
+  bool await_ready() {
+    if (env->immediate()) {
+      outcome = env->execute_now(OpKind::kTas, loc, 0);
+      return true;
+    }
+    return false;
+  }
+  void await_suspend(std::coroutine_handle<> h) {
+    env->post(PendingOp{OpKind::kTas, loc, 0, &outcome, h});
+  }
+  bool await_resume() const { return outcome != 0; }
+};
+
 }  // namespace detail
 
 /// co_await tas(env, loc) -> true iff this process *won* the TAS (changed
 /// the location's value from 0 to 1; the paper's "wins" convention).
 template <std::derived_from<Env> E>
-auto tas(E& env, Location loc) {
-  struct Awaiter : detail::OpAwaiter<E> {
-    bool await_resume() const { return this->outcome != 0; }
-  };
-  return Awaiter{{&env, OpKind::kTas, loc}};
+detail::TasAwaiter<E> tas(E& env, Location loc) {
+  return detail::TasAwaiter<E>{&env, loc};
 }
 
 /// co_await read(env, loc) -> current 64-bit value of the cell.

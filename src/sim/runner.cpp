@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <unordered_set>
 
 namespace loren::sim {
 
@@ -108,8 +107,14 @@ RunResult run_execution(SimEnv& env, const AlgoFactory& factory,
     }
   }
 
-  // Collect metrics and validate the renaming conditions.
-  std::unordered_set<Name> seen;
+  // Every result was copied out: free the frames before the checks.
+  tasks = std::vector<Task<Name>>();
+
+  // Collect metrics and validate the renaming conditions. Uniqueness is a
+  // sort of the held names and a comparison of neighbours, so it costs
+  // nothing per name value: an algorithm may hand out 2^40.
+  std::vector<Name> held;
+  held.reserve(n);
   for (ProcessId pid = 0; pid < n; ++pid) {
     auto& p = result.processes[pid];
     p.steps = env.steps(pid);
@@ -117,13 +122,14 @@ RunResult run_execution(SimEnv& env, const AlgoFactory& factory,
       ++result.finished;
       result.max_steps = std::max(result.max_steps, p.steps);
       result.max_name = std::max(result.max_name, p.name);
-      if (p.name >= 0 && !seen.insert(p.name).second) {
-        result.names_unique = false;
-      }
+      if (p.name >= 0) held.push_back(p.name);
     } else if (p.crashed) {
       ++result.crashed;
     }
   }
+  std::sort(held.begin(), held.end());
+  result.names_unique =
+      std::adjacent_find(held.begin(), held.end()) == held.end();
   result.total_steps = env.total_steps();
   return result;
 }

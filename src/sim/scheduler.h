@@ -10,7 +10,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "platform/rng.h"
@@ -112,8 +111,12 @@ class LayeredStrategy final : public Strategy {
 /// Strong adaptive adversary that maximizes wasted probes: schedules first
 /// any process whose pending TAS is already doomed to lose; otherwise picks
 /// a process probing the location with the most contenders (so every
-/// contender but one wastes its step); falls back to round-robin. O(n) per
-/// decision — use at moderate n.
+/// contender but one wastes its step; ties go to the first location in
+/// runnable order to reach the count); falls back to round-robin. Reads and
+/// writes are never counted. Each decision scans the runnable list: O(n)
+/// per decision, so use it at moderate n. The contender counts are a flat
+/// per-location array kept across decisions and grown with the env, so a
+/// decision allocates nothing; it costs 4 bytes per location.
 class CollisionAdversary final : public Strategy {
  public:
   void reset(ProcessId, std::uint64_t) override {
@@ -125,7 +128,8 @@ class CollisionAdversary final : public Strategy {
 
  private:
   std::size_t cursor_ = 0;
-  std::unordered_map<Location, std::size_t> counts_;
+  /// Pending-TAS contenders per location; all zero between decisions.
+  std::vector<std::uint32_t> counts_;
 };
 
 /// Decorator injecting crashes into any base strategy.

@@ -48,17 +48,27 @@ Decision CollisionAdversary::pick(const ExecView& view) {
   }
   // 2. Otherwise create collisions: find the pending-TAS location with the
   //    most contenders and schedule one of them (the rest become losers).
-  counts_.clear();
+  //    Counts live in a flat per-location array, grown to the env's size
+  //    (or past it: a pending op may target a cell not yet created) and
+  //    zeroed again by a second pass over the same list.
+  if (counts_.size() < view.env().num_locations()) {
+    counts_.resize(view.env().num_locations(), 0);
+  }
   Location best_loc = 0;
-  std::size_t best_count = 0;
+  std::uint32_t best_count = 0;
   for (ProcessId pid : runnable) {
     const PendingOp& op = view.pending(pid);
     if (op.kind != OpKind::kTas) continue;
-    const std::size_t c = ++counts_[op.loc];
+    if (op.loc >= counts_.size()) counts_.resize(op.loc + 1, 0);
+    const std::uint32_t c = ++counts_[op.loc];
     if (c > best_count) {
       best_count = c;
       best_loc = op.loc;
     }
+  }
+  for (ProcessId pid : runnable) {
+    const PendingOp& op = view.pending(pid);
+    if (op.kind == OpKind::kTas) counts_[op.loc] = 0;
   }
   if (best_count >= 2) {
     for (ProcessId pid : runnable) {

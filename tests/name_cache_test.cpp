@@ -86,15 +86,64 @@ TEST(NameStash, AdaptiveWindowGrowsAndShrinksCapacity) {
   st.configure(16);
   // A full window of hits doubles the capacity...
   for (std::uint32_t i = 0; i < NameStash::kAdaptWindow; ++i) {
-    const auto ws = st.note_acquire(true);
+    const auto ws = st.note_acquire(true, 1, [] {});
     EXPECT_EQ(ws.rolled, i + 1 == NameStash::kAdaptWindow);
   }
   EXPECT_EQ(st.capacity(), 32u);
   // ...and a full window of misses halves it.
   for (std::uint32_t i = 0; i < NameStash::kAdaptWindow; ++i) {
-    st.note_acquire(false);
+    st.note_acquire(false, 1, [] {});
   }
   EXPECT_EQ(st.capacity(), 16u);
+}
+
+TEST(NameStash, BatchedNoteMatchesSingleCalls) {
+  // 100 hits open a window; then 300 misses cross three boundaries: the
+  // first window rolls at 100/128 hits (doubles), the next all-miss one
+  // halves, a third halves again, and 16 misses stay in flight. Under a
+  // bound of 8 re-applied at every roll, the single calls read 32 -> 8 ->
+  // 4 -> 4; clamping only once at the end would leave 8.
+  for (const std::uint32_t cap : {NameStash::kMaxCapacity, 8u}) {
+    NameStash single;
+    NameStash batched;
+    single.configure(16);
+    batched.configure(16);
+    int single_rolls = 0;
+    int batched_rolls = 0;
+    for (int i = 0; i < 100; ++i) {
+      single.note_acquire(true, 1, [] {});
+      batched.note_acquire(true, 1, [] {});
+    }
+    NameStash::WindowStats folded;
+    for (int i = 0; i < 300; ++i) {
+      const NameStash::WindowStats ws = single.note_acquire(false, 1, [&] {
+        single.clamp_capacity(cap);
+        ++single_rolls;
+      });
+      folded.hits += ws.hits;
+      folded.misses += ws.misses;
+      folded.rolled |= ws.rolled;
+    }
+    const NameStash::WindowStats ws = batched.note_acquire(false, 300, [&] {
+      batched.clamp_capacity(cap);
+      ++batched_rolls;
+    });
+    EXPECT_EQ(batched.capacity(), single.capacity()) << "cap " << cap;
+    EXPECT_EQ(batched.capacity(), cap == 8 ? 4u : 8u);
+    EXPECT_EQ(batched_rolls, single_rolls);
+    EXPECT_EQ(batched_rolls, 3);
+    EXPECT_EQ(ws.rolled, folded.rolled);
+    EXPECT_EQ(ws.hits, folded.hits);
+    EXPECT_EQ(ws.misses, folded.misses);
+    EXPECT_EQ(ws.hits, 100u);
+    EXPECT_EQ(ws.misses, 284u);
+    // The in-flight remainder carries over identically.
+    const NameStash::WindowStats a = single.take_partial_window();
+    const NameStash::WindowStats b = batched.take_partial_window();
+    EXPECT_EQ(b.hits, a.hits);
+    EXPECT_EQ(b.misses, a.misses);
+    EXPECT_EQ(b.misses, 16u);
+  }
 }
 
 // --------------------------------------------------- fixed service ----

@@ -428,6 +428,35 @@ TEST(ReBatchingSteps, TournamentService) {
                             {32, 0, 0, 0}, {0, 0, 0, 0}, 0});
 }
 
+// Two ReBatching objects side by side under the collision adversary: even
+// pids probe through a read/write tournament, whose reads and writes the
+// adversary skips when it counts TAS contenders and whose cell regions
+// appear as processes first reach them; odd pids probe hardware cells of a
+// second namespace that no one ensured, so pending TAS locations lie past
+// the env's current size until they execute.
+struct MixedServices {
+  static constexpr ProcessId kN = 32;
+  BatchLayout layout{kN, 0.5};
+  TournamentTasService tournament{0, layout.total(), kN};
+  HardwareTasService hardware{tournament.footprint(), 2 * layout.total()};
+  ReBatching rw{kN, ReBatching::Options{.layout = {.epsilon = 0.5},
+                                        .service = &tournament}};
+  ReBatching hw{kN, ReBatching::Options{.layout = {.epsilon = 0.5},
+                                        .base = layout.total(),
+                                        .service = &hardware}};
+
+  Task<Name> get_name(Env& env) {
+    return env.current_pid() % 2 == 0 ? rw.get_name(env) : hw.get_name(env);
+  }
+};
+
+TEST(ReBatchingSteps, CollisionMixedServices) {
+  MixedServices algo;
+  expect_pinned(pinned_steps("collision mixed services n=32", algo,
+                             MixedServices::kN, 7, true),
+                PinnedSteps{410, 56, 0x06db77a56c26b9b9});
+}
+
 TEST(ReBatchingSteps, AdaptiveRandom) {
   AdaptiveReBatching a64, a1024;
   expect_pinned(pinned_steps("adaptive random k=64", a64, 64, 21, false),

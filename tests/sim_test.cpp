@@ -482,5 +482,65 @@ TEST(RunnerTest, DuplicateNamesDetected) {
   EXPECT_FALSE(r.renaming_correct());
 }
 
+// Uniqueness is judged over the held names alone, whatever their values:
+// the check sorts them, so neither 0 nor 2^40 needs a table that large.
+constexpr Name kHugeName = Name{1} << 40;
+
+/// Process `pid` takes one shared step, then returns names[pid].
+AlgoFactory fixed_names(std::vector<Name> names) {
+  return [names = std::move(names)](Env& env, ProcessId pid) -> Task<Name> {
+    env.ensure_locations(pid + 1);
+    co_await tas(env, pid);
+    co_return names[pid];
+  };
+}
+
+TEST(RunnerTest, ExtremeNamesAreUnique) {
+  RoundRobinStrategy strat;
+  RunConfig cfg{.num_processes = 3, .seed = 1, .strategy = &strat};
+  const RunResult r = simulate(fixed_names({kHugeName, 0, 1}), cfg);
+  EXPECT_TRUE(r.names_unique);
+  EXPECT_TRUE(r.renaming_correct());
+  EXPECT_EQ(r.max_name, kHugeName);
+}
+
+TEST(RunnerTest, DuplicateAtEitherExtremeDetected) {
+  for (const std::vector<Name>& names :
+       {std::vector<Name>{0, kHugeName, 0},
+        std::vector<Name>{kHugeName, 0, kHugeName}}) {
+    RoundRobinStrategy strat;
+    RunConfig cfg{.num_processes = 3, .seed = 1, .strategy = &strat};
+    const RunResult r = simulate(fixed_names(names), cfg);
+    EXPECT_FALSE(r.names_unique);
+    EXPECT_FALSE(r.renaming_correct());
+    EXPECT_EQ(r.max_name, kHugeName);
+  }
+}
+
+TEST(RunnerTest, CrashedAndNamelessProcessesHoldNoName) {
+  // Two processes crash before their step, and at least two of the four
+  // that return -1 finish without a name: none of them holds a name, so
+  // their -1s are no duplicates.
+  auto base = std::make_unique<RoundRobinStrategy>();
+  CrashDecorator strat(std::move(base), /*max_crashes=*/2,
+                       CrashDecorator::Mode::kRandom, /*interval=*/1);
+  RunConfig cfg{.num_processes = 6, .seed = 29, .strategy = &strat};
+  const RunResult r =
+      simulate(fixed_names({kHugeName, -1, -1, 0, -1, -1}), cfg);
+  EXPECT_EQ(r.crashed, 2u);
+  EXPECT_EQ(r.finished, 4u);
+  EXPECT_TRUE(r.names_unique);
+  EXPECT_TRUE(r.renaming_correct());
+  int nameless = 0;
+  for (const ProcessOutcome& p : r.processes) {
+    if (p.crashed) {
+      EXPECT_EQ(p.name, -1);
+    } else if (p.name == -1) {
+      ++nameless;
+    }
+  }
+  EXPECT_GE(nameless, 2);
+}
+
 }  // namespace
 }  // namespace loren::sim
