@@ -20,7 +20,7 @@ namespace {
 
 sim::AlgoFactory factory_for(ReBatching& algo) {
   return [&algo](sim::Env& env, sim::ProcessId) -> sim::Task<sim::Name> {
-    co_return co_await algo.get_name(env);
+    return algo.get_name(env);
   };
 }
 

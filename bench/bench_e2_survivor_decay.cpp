@@ -57,7 +57,7 @@ int main() {
                          .strategy = strat.get()};
       const Measurement m = measure(
           [&algo](sim::Env& env, sim::ProcessId) -> sim::Task<sim::Name> {
-            co_return co_await algo.get_name(env);
+            return algo.get_name(env);
           },
           cfg);
       if (!m.result.renaming_correct()) {

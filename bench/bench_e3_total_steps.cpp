@@ -24,7 +24,7 @@ double total_steps_per_n(std::uint64_t n, int t0_override,
                      .strategy = strat.get()};
   const Measurement m = measure(
       [&algo](sim::Env& env, sim::ProcessId) -> sim::Task<sim::Name> {
-        co_return co_await algo.get_name(env);
+        return algo.get_name(env);
       },
       cfg);
   return static_cast<double>(m.result.total_steps) / static_cast<double>(n);

@@ -47,13 +47,13 @@ int main() {
 
     const double uniform = max_steps_of(
         [m](sim::Env& env, sim::ProcessId) -> sim::Task<sim::Name> {
-          co_return co_await uniform_probing(env, m);
+          return uniform_probing(env, m);
         },
         n, 3, 4000 + logn);
 
     const double linear = max_steps_of(
         [m](sim::Env& env, sim::ProcessId) -> sim::Task<sim::Name> {
-          co_return co_await linear_scan(env, m);
+          return linear_scan(env, m);
         },
         n, 3, 4100 + logn);
 
@@ -62,7 +62,7 @@ int main() {
                                       .t0_override = 8}});
     const double rebatching = max_steps_of(
         [&algo](sim::Env& env, sim::ProcessId) -> sim::Task<sim::Name> {
-          co_return co_await algo.get_name(env);
+          return algo.get_name(env);
         },
         n, 3, 4200 + logn);
 

@@ -30,7 +30,7 @@ Point run_adaptive(std::uint64_t k, int t0_override, std::uint64_t seed) {
                      .strategy = strat.get()};
   const Measurement m = measure(
       [&algo](sim::Env& env, sim::ProcessId) -> sim::Task<sim::Name> {
-        co_return co_await algo.get_name(env);
+        return algo.get_name(env);
       },
       cfg);
   return Point{static_cast<double>(m.result.max_name) / double(k),
@@ -44,7 +44,7 @@ Point run_doubling_uniform(std::uint64_t k, std::uint64_t seed) {
                      .strategy = strat.get()};
   const Measurement m = measure(
       [](sim::Env& env, sim::ProcessId) -> sim::Task<sim::Name> {
-        co_return co_await doubling_uniform(env, 1.0, 4);
+        return doubling_uniform(env, 1.0, 4);
       },
       cfg);
   return Point{static_cast<double>(m.result.max_name) / double(k),

@@ -29,7 +29,7 @@ Totals run_slow(std::uint64_t k, int t0, std::uint64_t seed) {
                      .strategy = strat.get()};
   const Measurement m = measure(
       [&algo](sim::Env& env, sim::ProcessId) -> sim::Task<sim::Name> {
-        co_return co_await algo.get_name(env);
+        return algo.get_name(env);
       },
       cfg);
   return {double(m.result.total_steps) / double(k),
@@ -45,7 +45,7 @@ Totals run_fast(std::uint64_t k, int t0, std::uint64_t seed) {
                      .strategy = strat.get()};
   const Measurement m = measure(
       [&algo](sim::Env& env, sim::ProcessId) -> sim::Task<sim::Name> {
-        co_return co_await algo.get_name(env);
+        return algo.get_name(env);
       },
       cfg);
   return {double(m.result.total_steps) / double(k),

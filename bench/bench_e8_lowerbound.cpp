@@ -36,14 +36,14 @@ TypeSet make_types(std::uint64_t n, std::uint64_t layers, std::uint64_t seed,
     auto algo = std::make_shared<ReBatching>(n, 0.5);
     return extract_types(
         [algo](sim::Env& env, sim::ProcessId) -> sim::Task<sim::Name> {
-          co_return co_await algo->get_name(env);
+          return algo->get_name(env);
         },
         /*num_types=*/n * 16, layers, seed);
   }
   const std::uint64_t m = BatchLayout(n, 0.5).total();
   return extract_types(
       [m](sim::Env& env, sim::ProcessId) -> sim::Task<sim::Name> {
-        co_return co_await uniform_probing(env, m);
+        return uniform_probing(env, m);
       },
       /*num_types=*/n * 16, layers, seed);
 }

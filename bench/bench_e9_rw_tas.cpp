@@ -33,7 +33,7 @@ ServiceRun run_with(TasService* service, std::uint64_t n, std::uint64_t seed) {
                      .max_total_steps = 50'000'000};
   const Measurement m = measure(
       [&algo](sim::Env& env, sim::ProcessId) -> sim::Task<sim::Name> {
-        co_return co_await algo.get_name(env);
+        return algo.get_name(env);
       },
       cfg);
   return {double(m.result.total_steps), m.steps.max,

@@ -46,6 +46,19 @@ CoinStream& coin_stream(std::uint64_t instance, std::uint64_t seed) {
   return s;
 }
 
+/// The coroutine walk's look-ahead, over the flat schedule: prefetches the
+/// cells of the next probes on `slot`'s batch, at most
+/// ReBatching::kLookAhead of them, drawn from `ahead`, a copy of the
+/// thread's stream, so the stream itself does not move.
+void prefetch_ahead(const TasArena& cells, const FlatProbeSchedule::Slot* slot,
+                    const FlatProbeSchedule::Slot* last, Xoshiro256 ahead) {
+  for (std::uint64_t k = 0; k < ReBatching::kLookAhead && slot + k != last &&
+                            slot[k].offset == slot->offset;
+       ++k) {
+    cells.prefetch(slot->offset + ahead.below(slot->size));
+  }
+}
+
 }  // namespace
 
 ConcurrentRenamer::ConcurrentRenamer(std::uint64_t n, double epsilon,
@@ -68,8 +81,13 @@ Name ConcurrentRenamer::get_name() {
 
 Name ConcurrentRenamer::get_name_direct() {
   Xoshiro256& rng = coin_stream(id_, seed_).rng;
-  for (const auto& slot : schedule_) {
-    const std::uint64_t x = slot.offset + rng.below(slot.size);
+  const FlatProbeSchedule::Slot* const first = schedule_.begin();
+  const FlatProbeSchedule::Slot* const last = schedule_.end();
+  std::uint64_t j = 0;  // probes made so far on the current batch
+  for (const auto* slot = first; slot != last; ++slot, ++j) {
+    if (slot != first && slot->offset != slot[-1].offset) j = 0;
+    if (j % ReBatching::kLookAhead == 0) prefetch_ahead(cells_, slot, last, rng);
+    const std::uint64_t x = slot->offset + rng.below(slot->size);
     // sim:exempt(forwards to the arena RMW, which carries the sim point)
     if (cells_.test_and_set(x)) {
       assigned_.add(1);

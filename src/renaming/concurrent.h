@@ -21,6 +21,14 @@
 // recycler (sim/task.h), and the probes await the TAS directly, so a call
 // allocates nothing in the steady state.
 //
+// Both walks fetch a batch's cells ahead of its probes: on entering a
+// batch, and after every ReBatching::kLookAhead probes in it, they draw
+// the next (up to) kLookAhead offsets from a copy of the stream and
+// prefetch those lines, so the cache misses of one call overlap instead
+// of queueing one behind the other. The stream itself does not move: the
+// coins a call flips, the cells it probes and the name it returns are the
+// same as without the look-ahead.
+//
 // The shared substrate is a TasArena (tas/tas_arena.h): cache-line-padded
 // by default so concurrent probes never false-share, generation-stamped so
 // reset() is O(1), with the minimal memory orders that keep TAS

@@ -1,5 +1,7 @@
 #include "renaming/rebatching.h"
 
+#include <algorithm>
+
 #include "tas/tas_arena.h"
 
 namespace loren {
@@ -31,6 +33,14 @@ Task<Name> ReBatching::walk(E& env, std::uint64_t first, std::uint64_t last,
     }
     const std::uint64_t probes = sweep ? layout_.total() : layout_.probes(i);
     for (std::uint64_t j = 0; j < probes; ++j) {
+      if constexpr (std::same_as<E, ArenaEnv>) {
+        // Fetch the next cells this batch will probe (kLookAhead). The copy
+        // of the coin stream lives in prefetch_draws, not in this frame.
+        if (!sweep && j % kLookAhead == 0) {
+          env.prefetch_draws(base_ + layout_.offset(i), layout_.size(i),
+                             std::min(kLookAhead, probes - j));
+        }
+      }
       const sim::Location loc =
           sweep ? base_ + j
                 : base_ + layout_.offset(i) + env.random_below(layout_.size(i));

@@ -61,6 +61,16 @@ class ReBatching {
     TasService* service = nullptr;
   };
 
+  /// Probes fetched ahead on hardware: over ArenaEnv, the walk prefetches
+  /// the cells of a batch's next min(kLookAhead, t_i - j) probes when it
+  /// enters the batch and after every kLookAhead probes in it, so their
+  /// cache misses overlap (ConcurrentRenamer::get_name_direct does the
+  /// same). The offsets come from a copy of the coin stream, so no coin,
+  /// step or name changes; the sim::Env walk does not prefetch at all.
+  /// Of {4, 8, 16}, 4 read best on paper-model: 8 cut its p99 further but
+  /// spent a median call's time on draws it never probes (docs/benchmarks.md).
+  static constexpr std::uint64_t kLookAhead = 4;
+
   ReBatching(std::uint64_t n, Options options);
   ReBatching(std::uint64_t n, double epsilon)
       : ReBatching(n, Options{.layout = {.epsilon = epsilon}}) {}

@@ -5,6 +5,11 @@
 // write(i, v), and size(). Operations execute immediately inside
 // await_ready, so the same algorithm code measured under the simulated
 // adversaries runs unchanged on real threads.
+//
+// A walk may also fetch a batch's cells ahead of its probes
+// (prefetch_draws, which needs Memory::prefetch(i)): the look-ahead draws
+// from a copy of the coin stream, so the coins the walk flips, the cells
+// it probes and the names it returns are the same as without it.
 #pragma once
 
 #include <cstdint>
@@ -50,6 +55,16 @@ class BasicDirectEnv final : public sim::Env {
 
   std::uint64_t random_below(std::uint64_t bound) override {
     return rng_->below(bound);
+  }
+
+  /// Prefetches the cells of the next `k` probes base + random_below(size)
+  /// (Memory::prefetch). The draws come from a copy of the stream, so the
+  /// stream does not move: the `k` random_below(size) calls that follow
+  /// return exactly these offsets, and no coin is spent on the look-ahead.
+  void prefetch_draws(std::uint64_t base, std::uint64_t size,
+                      std::uint64_t k) const {
+    Xoshiro256 ahead = *rng_;
+    for (; k > 0; --k) memory_->prefetch(base + ahead.below(size));
   }
 
   void ensure_locations(std::uint64_t count) override {

@@ -145,6 +145,46 @@ TEST(ConcurrentRenamer, CoroutineAndDirectWalksIssueTheSameNames) {
   }
 }
 
+// The probe look-ahead draws from a copy of the coin stream. An env that
+// looks ahead before every claim and one that never does, over equal
+// streams and equal arenas, claim the same cells and leave their streams
+// in the same state.
+TEST(ArenaEnvLookAhead, PrefetchDrawsConsumesNoCoins) {
+  constexpr std::uint64_t kCells = 1000;
+  TasArena ahead_cells(kCells), plain_cells(kCells);
+  Xoshiro256 ahead_rng(0x1A), plain_rng(0x1A);
+  ArenaEnv ahead(ahead_cells, ahead_rng, 0);
+  ArenaEnv plain(plain_cells, plain_rng, 0);
+  std::vector<std::uint64_t> ahead_won, plain_won;
+  for (std::uint64_t call = 0; call < 4 * kCells; ++call) {
+    ahead.prefetch_draws(0, kCells, call % 17);
+    const std::uint64_t a = ahead.random_below(kCells);
+    const std::uint64_t p = plain.random_below(kCells);
+    if (ahead_cells.test_and_set(a)) ahead_won.push_back(a);
+    if (plain_cells.test_and_set(p)) plain_won.push_back(p);
+  }
+  EXPECT_EQ(ahead_won, plain_won);
+  EXPECT_EQ(ahead_rng.next(), plain_rng.next());
+}
+
+// The same through ReBatching: its ArenaEnv walk looks ahead, its sim::Env
+// walk (run over an equal ArenaEnv through the vtable) does not. Calling
+// past capacity runs every batch and the backup sweep.
+TEST(ArenaEnvLookAhead, ArenaWalkIssuesTheSimEnvWalksNames) {
+  ReBatching algo(1024, 0.5);
+  TasArena ahead_cells(algo.end()), plain_cells(algo.end());
+  Xoshiro256 ahead_rng(0xE0), plain_rng(0xE0);
+  ArenaEnv ahead(ahead_cells, ahead_rng, 0);
+  ArenaEnv plain(plain_cells, plain_rng, 0);
+  for (std::uint64_t call = 0; call <= algo.layout().total(); ++call) {
+    const Name a = sim::run_sync(algo.get_name(ahead));
+    const Name p = sim::run_sync(algo.get_name(static_cast<sim::Env&>(plain)));
+    ASSERT_EQ(a, p) << "call " << call;
+  }
+  EXPECT_EQ(ahead.steps(), plain.steps());
+  EXPECT_EQ(ahead_rng.next(), plain_rng.next());
+}
+
 // A thread that leaves a renamer and comes back draws fresh coins rather
 // than replaying the stream it started there: with the first name
 // released, each return after a detour through another renamer would

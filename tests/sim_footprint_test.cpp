@@ -162,6 +162,14 @@ TEST(SimFootprint, WalkFrameFitsThreeFrameCacheClasses) {
   }
 }
 
+// The hardware walk's probe look-ahead keeps its coin-stream copy in
+// ArenaEnv::prefetch_draws, not in the walk: both walks' frames take the
+// same FrameCache class.
+TEST(SimFootprint, ArenaWalkFrameMatchesSimEnvWalkFrame) {
+  ReBatching algo(kN, 0.5);
+  EXPECT_EQ(walk_frame_bytes(algo, true), walk_frame_bytes(algo, false));
+}
+
 TEST(SimFootprint, ReBatchingBytesPerProcess) {
   ReBatching algo(kN, 0.5);
   const sim::AlgoFactory factory = wrapper_factory(algo);
